@@ -12,11 +12,16 @@ r * r = (d-2) sqrt(2/(d(d+1))) r.
 
 import numpy as np
 
-from .su_basis import SuBasis, StructureConstants, star_product
+from .su_basis import SuBasis, StructureConstants, star_product, trace_columns
 
 # eigensolvers return tiny negative eigenvalues for boundary states
 PSD_TOL = 1e-10
 PURITY_TOL = 1e-9
+
+
+def _max_abs(x) -> float:
+    """Largest |x|, NaN if any entry is NaN, 0.0 for an empty array."""
+    return float(np.max(np.abs(x), initial=0.0))
 
 
 def validate_density_matrix(rho: np.ndarray, herm_tol: float = 1e-12,
@@ -54,20 +59,23 @@ def from_bloch(r: np.ndarray, basis: SuBasis) -> np.ndarray:
 def to_bloch(rho: np.ndarray, basis: SuBasis, tol: float = 1e-12) -> np.ndarray:
     """Bloch vector r_a = sqrt(d/(2(d+1))) Tr(rho sigma_a).
 
-    Requires rho Hermitian with unit trace (within `tol`); the imaginary
-    residue of the traces is checked against `tol` and then discarded.
+    `rho` may carry leading batch axes, (..., d, d) -> (..., d**2 - 1).
+    Requires every rho Hermitian with unit trace (within `tol`); the
+    imaginary residue of the traces is checked against `tol` and then
+    discarded.  NaN fails every check.
     """
     d = basis.d
     rho = np.asarray(rho)
-    if rho.shape != (d, d):
+    if rho.shape[-2:] != (d, d):
         raise ValueError(f"expected {d}x{d} matrix, got shape {rho.shape}")
-    herm = np.max(np.abs(rho - rho.conj().T))
-    if herm > tol:
+    herm = _max_abs(rho - np.swapaxes(rho, -1, -2).conj())
+    if not herm <= tol:
         raise ValueError(f"not Hermitian: max |rho - rho^dag| = {herm:.3e}")
-    if abs(np.trace(rho) - 1.0) > tol:
-        raise ValueError(f"trace is {np.trace(rho)!r}, expected 1")
-    traces = np.einsum('aij,ji->a', basis.matrices, rho)
-    if np.max(np.abs(traces.imag)) > tol:
+    trace_err = _max_abs(np.trace(rho, axis1=-2, axis2=-1) - 1.0)
+    if not trace_err <= tol:
+        raise ValueError(f"trace is off 1 by {trace_err:.3e}")
+    traces = rho.reshape(rho.shape[:-2] + (d * d,)) @ trace_columns(basis)
+    if not _max_abs(traces.imag) <= tol:
         raise ValueError("Tr(rho sigma_a) has imaginary part beyond tolerance")
     return np.sqrt(d / (2.0 * (d + 1.0))) * traces.real
 
@@ -98,28 +106,41 @@ def is_pure(r: np.ndarray, sc: StructureConstants, tol: float = PURITY_TOL) -> b
     return bool(norm_defect <= tol and star_defect <= tol)
 
 
-def random_density_matrix(d: int, seed) -> np.ndarray:
+def _stack(size: int | None) -> tuple:
+    return () if size is None else (size,)
+
+
+def random_density_matrix(d: int, seed, size: int | None = None) -> np.ndarray:
     """Full-rank Ginibre sample rho = G G^dag / Tr(G G^dag).
 
     `seed` is an int or a numpy Generator; results are deterministic for a
-    given int seed.
+    given int seed.  With an int `size` the result is a stack of that many
+    samples, equal byte for byte to as many sequential calls on
+    the same generator: one (size, 2, d, d) normal draw takes the real and
+    imaginary parts of each G in the same order.
     """
     if d < 2:
         raise ValueError(f"need d >= 2, got d={d}")
     rng = np.random.default_rng(seed)
-    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    rho = g @ g.conj().T
-    return rho / np.trace(rho).real
+    x = rng.normal(size=_stack(size) + (2, d, d))
+    g = x[..., 0, :, :] + 1j * x[..., 1, :, :]
+    rho = g @ np.swapaxes(g.conj(), -1, -2)
+    return rho / np.trace(rho, axis1=-2, axis2=-1).real[..., None, None]
 
 
-def random_pure_state(d: int, seed) -> np.ndarray:
-    """Haar-random rank-1 projector |psi><psi|."""
+def random_pure_state(d: int, seed, size: int | None = None) -> np.ndarray:
+    """Haar-random rank-1 projector |psi><psi|; `size` stacks samples as in
+    `random_density_matrix`."""
     if d < 2:
         raise ValueError(f"need d >= 2, got d={d}")
     rng = np.random.default_rng(seed)
-    psi = rng.normal(size=d) + 1j * rng.normal(size=d)
-    psi /= np.linalg.norm(psi)
-    return np.outer(psi, psi.conj())
+    x = rng.normal(size=_stack(size) + (2, d))
+    psi = x[..., 0, :] + 1j * x[..., 1, :]
+    # |psi|^2 as two real dot products, the same sum np.linalg.norm forms
+    re, im = psi.real[..., None, :], psi.imag[..., None, :]
+    norm2 = re @ np.swapaxes(re, -1, -2) + im @ np.swapaxes(im, -1, -2)
+    psi = psi / np.sqrt(norm2[..., 0])
+    return psi[..., :, None] * psi.conj()[..., None, :]
 
 
 def state_to_json(rho: np.ndarray) -> dict:

@@ -15,13 +15,12 @@ import numpy as np
 
 from . import bloch, state_simplex
 from .sic_povm import (Fiducial, fiducial_from_json, fiducial_to_json,
-                       find_fiducial, load_catalog, save_catalog,
-                       default_catalog_path, sic_residual, wh_orbit)
+                       find_fiducial, record_fiducial, sic_residual, wh_orbit)
 from .simplex_geometry import to_probabilities
 from .state_simplex import (build_context, geometry_report, report_to_json,
-                            simulate_tomography, state_to_probabilities,
-                            probabilities_to_point, point_to_state,
-                            verify_b_equals_q)
+                            sample_blocks, simulate_tomography,
+                            state_to_probabilities, probabilities_to_point,
+                            point_to_state, verify_b_equals_q)
 
 GEOMETRY_CSV_COLUMNS = ["d", "R_out", "R_in", "R_pure", "m_pure",
                         "sum_p2_pure", "pure_sphere_is_inner"]
@@ -108,21 +107,11 @@ def _cmd_find_sic(args) -> int:
     fid = find_fiducial(args.d, seed=args.seed, restarts=args.restarts,
                         max_iters=args.max_iters,
                         target_residual=args.target_residual)
-    entry = fiducial_to_json(fid)
-    entry["converged"] = bool(fid.converged)
-    _write_json(entry, args.out)
+    _write_json(fiducial_to_json(fid), args.out)
     print(f"d={args.d} residual={fid.residual:.6e} "
           f"{'converged' if fid.converged else 'NOT CONVERGED'}")
-    if fid.converged:
-        try:
-            path = default_catalog_path()
-            catalog = load_catalog(path)
-            catalog[args.d] = fid
-            save_catalog(catalog, path)
-        except OSError:
-            pass
-        return 0
-    return 1
+    record_fiducial(fid)
+    return 0 if fid.converged else 1
 
 
 def _verify_one(d: int, args) -> dict:
@@ -133,12 +122,14 @@ def _verify_one(d: int, args) -> dict:
     p2_dev = 0.0
     target_norm2 = (d - 1.0) / (d + 1.0)
     target_p2 = 2.0 / (d * (d + 1.0))
-    for _ in range(args.samples):
-        rho = bloch.random_pure_state(d, rng)
+    for size in sample_blocks(args.samples):
+        rho = bloch.random_pure_state(d, rng, size=size)
         p = state_to_probabilities(rho, ctx)
         s = probabilities_to_point(p, ctx)
-        norm_dev = max(norm_dev, abs(float(s @ s) - target_norm2))
-        p2_dev = max(p2_dev, abs(float(p @ p) - target_p2))
+        norm_dev = np.maximum(norm_dev, np.max(np.abs(
+            np.einsum('ka,ka->k', s, s) - target_norm2)))
+        p2_dev = np.maximum(p2_dev, np.max(np.abs(
+            np.einsum('ki,ki->k', p, p) - target_p2)))
     rep = geometry_report(d)
     return {
         "d": d,
@@ -150,10 +141,11 @@ def _verify_one(d: int, args) -> dict:
         "m_pure": rep.m_pure,
         "sum_p2_pure": rep.sum_p2_pure,
         "max_theorem_deviation": theorem_dev,
-        "max_pure_norm_deviation": norm_dev,
-        "max_pure_sum_p2_deviation": p2_dev,
+        "max_pure_norm_deviation": float(norm_dev),
+        "max_pure_sum_p2_deviation": float(p2_dev),
         "tolerance": args.tol,
-        "passed": bool(max(theorem_dev, norm_dev, p2_dev) < args.tol),
+        # np.max, unlike max(), turns a NaN deviation into a failure
+        "passed": bool(np.max([theorem_dev, norm_dev, p2_dev]) < args.tol),
     }
 
 

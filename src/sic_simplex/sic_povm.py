@@ -13,6 +13,7 @@ to zero with a multi-start projected descent.  For d = 2 an exact fiducial
 (Bloch direction (1,1,1)/sqrt(3), the regular tetrahedron) is built in.
 """
 
+import contextlib
 import json
 import os
 from dataclasses import dataclass, field
@@ -282,12 +283,13 @@ def build_sic(fid: Fiducial, basis: SuBasis,
     """
     if basis.d != fid.d:
         raise ValueError(f"basis dimension {basis.d} != fiducial dimension {fid.d}")
-    if fid.residual > max_residual:
+    if not fid.residual <= max_residual:
         raise ValueError(
             f"fiducial residual {fid.residual:.3e} exceeds {max_residual:.1e}")
     orbit = wh_orbit(fid)
     effects = np.einsum('ai,aj->aij', orbit, orbit.conj()) / fid.d
-    bloch_dirs = np.array([to_bloch(fid.d * e, basis) for e in effects])
+    # one batched call: the d**2 effects are already held in full
+    bloch_dirs = to_bloch(fid.d * effects, basis)
     return SicPovm(d=fid.d, effects=effects, bloch_dirs=bloch_dirs, fiducial=fid)
 
 
@@ -311,6 +313,7 @@ def fiducial_to_json(fid: Fiducial) -> dict:
         "seed": fid.seed,
         "config": fid.config,
         "source": fid.source,
+        "converged": fid.converged,
     }
 
 
@@ -321,11 +324,11 @@ def fiducial_from_json(obj: dict) -> Fiducial:
         raise ValueError(f"malformed psi entry: shape {arr.shape} for d={d}")
     psi = arr[:, 0] + 1j * arr[:, 1]
     nrm = np.linalg.norm(psi)
-    if abs(nrm - 1.0) > 1e-12:
+    if not abs(nrm - 1.0) <= 1e-12:
         raise ValueError(f"fiducial vector norm {nrm!r} != 1")
     return Fiducial(d=d, psi=psi, residual=float(obj["residual"]),
                     source=obj.get("source", "manual"), seed=obj.get("seed"),
-                    config=obj.get("config"))
+                    config=obj.get("config"), converged=obj.get("converged"))
 
 
 def load_catalog(path: str) -> dict:
@@ -338,11 +341,45 @@ def load_catalog(path: str) -> dict:
 
 
 def save_catalog(catalog: dict, path: str) -> None:
+    """Write the catalog atomically: dump to a temporary file beside `path`,
+    then rename it over `path`, so readers never see a partial file and a
+    failed write leaves the previous catalog untouched."""
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     raw = {str(d): fiducial_to_json(f) for d, f in sorted(catalog.items())}
-    with open(path, "w") as fh:
-        json.dump(raw, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w") as fh:
+            json.dump(raw, fh, sort_keys=True, indent=2)
+            fh.write("\n")
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
+
+
+def _load_catalog_or_empty(path: str) -> dict:
+    try:
+        return load_catalog(path)
+    except (ValueError, KeyError, json.JSONDecodeError):
+        return {}
+
+
+def record_fiducial(fid: Fiducial, path: str | None = None,
+                    catalog: dict | None = None) -> None:
+    """Persist a converged search result into the catalog at `path` (best
+    effort: an unreadable catalog is replaced, a failed write is ignored).
+
+    `catalog` is the caller's already loaded copy of that file, if any.
+    """
+    if not fid.converged:
+        return
+    path = path or default_catalog_path()
+    if catalog is None:
+        catalog = _load_catalog_or_empty(path)
+    catalog[fid.d] = fid
+    with contextlib.suppress(OSError):
+        save_catalog(catalog, path)
 
 
 def get_fiducial(d: int, seed: int = 0, catalog_path: str | None = None,
@@ -357,10 +394,7 @@ def get_fiducial(d: int, seed: int = 0, catalog_path: str | None = None,
     if d == 2:
         return qubit_tetrahedron_fiducial()
     path = catalog_path or default_catalog_path()
-    try:
-        catalog = load_catalog(path)
-    except (ValueError, KeyError, json.JSONDecodeError):
-        catalog = {}
+    catalog = _load_catalog_or_empty(path)
     cached = catalog.get(d)
     if cached is not None:
         actual = sic_residual(wh_orbit(cached))
@@ -369,10 +403,5 @@ def get_fiducial(d: int, seed: int = 0, catalog_path: str | None = None,
             return cached
     fid = find_fiducial(d, seed=seed, restarts=restarts, max_iters=max_iters,
                         target_residual=target_residual)
-    if fid.converged:
-        try:
-            catalog[d] = fid
-            save_catalog(catalog, path)
-        except OSError:
-            pass
+    record_fiducial(fid, path, catalog)
     return fid

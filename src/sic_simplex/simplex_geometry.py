@@ -58,14 +58,19 @@ def frame_from_vertices(vertices: np.ndarray, tol: float = 1e-10) -> SimplexFram
 
 
 def to_point(p: np.ndarray, frame: SimplexFrame) -> np.ndarray:
-    """Map a distribution over n+1 outcomes to s = sum_i p_i t_i."""
+    """Map a distribution over n+1 outcomes to s = sum_i p_i t_i.
+
+    `p` may carry leading batch axes, (..., n+1) -> (..., n); every row must
+    lie in [0, 1] and sum to 1, and NaN fails both checks.
+    """
     p = np.asarray(p, dtype=float)
-    if p.shape != (frame.n + 1,):
+    if p.shape[-1:] != (frame.n + 1,):
         raise ValueError(f"expected {frame.n + 1} probabilities, got {p.shape}")
-    if np.any(p < -MEMBERSHIP_TOL) or np.any(p > 1.0 + MEMBERSHIP_TOL):
+    if not np.all((p >= -MEMBERSHIP_TOL) & (p <= 1.0 + MEMBERSHIP_TOL)):
         raise ValueError("probabilities out of [0, 1]")
-    if abs(p.sum() - 1.0) > 1e-12:
-        raise ValueError(f"probabilities sum to {p.sum()!r}, not 1")
+    sum_err = float(np.max(np.abs(p.sum(axis=-1) - 1.0), initial=0.0))
+    if not sum_err <= 1e-12:
+        raise ValueError(f"probabilities sum off 1 by {sum_err:.3e}")
     return p @ frame.vertices
 
 

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bloch, simplex_geometry
-from .simplex_geometry import SimplexFrame, facet_distance
+from .bloch import PSD_TOL, PURITY_TOL
+from .simplex_geometry import MEMBERSHIP_TOL, SimplexFrame, facet_distance
 from .sic_povm import SicPovm, Fiducial, build_sic, get_fiducial
 from .su_basis import SuBasis, StructureConstants, build_su_basis, structure_constants
 
@@ -25,10 +26,14 @@ IN_SIMPLEX_NOT_STATE = "in_simplex_not_state"
 MIXED_STATE = "mixed_state"
 PURE_STATE = "pure_state"
 
-# classification tolerances, ordered from the least to the most noisy test
-MEMBERSHIP_TOL = 1e-12
-PSD_TOL = 1e-10
-PURITY_TOL = 1e-9
+# states per batched call in the sampling sweeps; bounds their temporaries
+SAMPLE_BLOCK = 250
+
+
+def sample_blocks(samples: int) -> list:
+    """Sizes of the batched calls that together draw `samples` states."""
+    return [min(SAMPLE_BLOCK, samples - k)
+            for k in range(0, samples, SAMPLE_BLOCK)]
 
 
 @dataclass
@@ -62,17 +67,21 @@ def build_context(d: int, fiducial: Fiducial | None = None, seed: int = 0,
 
 def state_to_probabilities(rho: np.ndarray, ctx: QuantumSimplexContext) -> np.ndarray:
     """SIC outcome probabilities p_i = Tr(E_i rho), via the Bloch form
-    p_i = 1/d**2 + ((d+1)/d**2) e_i . r."""
+    p_i = 1/d**2 + ((d+1)/d**2) e_i . r.
+
+    `rho` may carry leading batch axes, (..., d, d) -> (..., d**2).
+    """
     d = ctx.d
     rho = np.asarray(rho)
-    if rho.shape != (d, d):
+    if rho.shape[-2:] != (d, d):
         raise ValueError(f"expected {d}x{d} state, got shape {rho.shape}")
     r = bloch.to_bloch(rho, ctx.basis)
-    return 1.0 / d ** 2 + (d + 1.0) / d ** 2 * (ctx.sic.bloch_dirs @ r)
+    return 1.0 / d ** 2 + (d + 1.0) / d ** 2 * (r @ ctx.sic.bloch_dirs.T)
 
 
 def probabilities_to_point(p: np.ndarray, ctx: QuantumSimplexContext) -> np.ndarray:
-    """Simplex point s = sum_i p_i t_i for the context frame."""
+    """Simplex point s = sum_i p_i t_i for the context frame; batches as
+    `simplex_geometry.to_point` does."""
     return simplex_geometry.to_point(p, ctx.frame)
 
 
@@ -85,17 +94,18 @@ def point_to_state(s: np.ndarray, ctx: QuantumSimplexContext) -> np.ndarray:
 def verify_b_equals_q(ctx: QuantumSimplexContext, samples: int, seed) -> float:
     """Max | (s - r) |_inf over Ginibre-sampled states, where s is the
     simplex point of the state's SIC probabilities and r its Bloch vector.
-    The two should agree to roundoff for any dimension."""
+    The two should agree to roundoff for any dimension; NaN anywhere makes
+    the result NaN."""
     if samples < 1:
         raise ValueError("need at least one sample")
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(samples):
-        rho = bloch.random_density_matrix(ctx.d, rng)
+    for size in sample_blocks(samples):
+        rho = bloch.random_density_matrix(ctx.d, rng, size=size)
         r = bloch.to_bloch(rho, ctx.basis)
         s = probabilities_to_point(state_to_probabilities(rho, ctx), ctx)
-        worst = max(worst, float(np.max(np.abs(s - r))))
-    return worst
+        worst = np.maximum(worst, np.max(np.abs(s - r)))
+    return float(worst)
 
 
 @dataclass

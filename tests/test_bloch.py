@@ -73,6 +73,37 @@ def test_pure_state_norm_law(d):
         assert abs(r @ r - (d - 1.0) / (d + 1.0)) < 1e-10
 
 
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_batched_to_bloch_matches_rows(d):
+    rhos = random_density_matrix(d, d, size=30)
+    batched = to_bloch(rhos, BASES[d])
+    assert batched.shape == (30, d * d - 1)
+    for rho, r in zip(rhos, batched):
+        assert np.max(np.abs(to_bloch(rho, BASES[d]) - r)) <= 1e-15
+    stacked = to_bloch(rhos.reshape(5, 6, d, d), BASES[d])
+    np.testing.assert_array_equal(stacked.reshape(30, -1), batched)
+
+
+@pytest.mark.parametrize("defect", ["non_hermitian", "trace", "nan"])
+def test_batched_to_bloch_rejects_any_bad_row(defect):
+    rhos = random_density_matrix(3, 0, size=8)
+    if defect == "non_hermitian":
+        rhos[5, 0, 1] += 1e-9
+    elif defect == "trace":
+        rhos[5] *= 1.0 + 1e-9
+    else:
+        rhos[5, 1, 1] = np.nan
+    with pytest.raises(ValueError):
+        to_bloch(rhos, BASES[3])
+
+
+def test_to_bloch_rejects_nan():
+    rho = np.eye(2, dtype=complex) / 2.0
+    rho[0, 0] = np.nan
+    with pytest.raises(ValueError):
+        to_bloch(rho, BASES[2])
+
+
 def test_to_bloch_rejects_bad_input():
     with pytest.raises(ValueError):
         to_bloch(np.array([[0.0, 1.0], [0.0, 0.0]]), BASES[2])  # not Hermitian
@@ -170,6 +201,16 @@ def test_samplers_deterministic():
                                   random_density_matrix(3, 7))
     np.testing.assert_array_equal(random_pure_state(4, 7),
                                   random_pure_state(4, 7))
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 8])
+@pytest.mark.parametrize("sampler", [random_density_matrix, random_pure_state])
+def test_batched_draws_equal_sequential_draws(sampler, d):
+    rng = np.random.default_rng(17)
+    sequential = np.stack([sampler(d, rng) for _ in range(40)])
+    rng = np.random.default_rng(17)
+    batched = np.concatenate([sampler(d, rng, size=25), sampler(d, rng, size=15)])
+    assert batched.tobytes() == sequential.tobytes()
 
 
 def test_validate_density_matrix_rejects():

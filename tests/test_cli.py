@@ -92,6 +92,17 @@ def test_verify_refuses_corrupted_fiducial(tmp_path):
     assert rc != 0
 
 
+def test_verify_refuses_nan_fiducial(tmp_path, contexts):
+    # a NaN entry must not turn into a zero deviation and a pass
+    entry = fiducial_to_json(contexts[3].sic.fiducial)
+    entry["psi"][1][0] = float("nan")
+    bad = tmp_path / "nan.json"
+    bad.write_text(json.dumps(entry))
+    rc = main(["verify", "--d", "3", "--samples", "10",
+               "--fiducial", str(bad)])
+    assert rc != 0
+
+
 def test_verify_accepts_valid_fiducial_file(tmp_path):
     entry = fiducial_to_json(qubit_tetrahedron_fiducial())
     good = tmp_path / "good.json"

@@ -9,7 +9,8 @@ from sic_simplex.sic_povm import (Fiducial, displacement_operators, wh_orbit,
                                   sic_residual, find_fiducial, build_sic,
                                   get_fiducial, qubit_tetrahedron_fiducial,
                                   fiducial_to_json, fiducial_from_json,
-                                  load_catalog, save_catalog)
+                                  load_catalog, save_catalog,
+                                  record_fiducial)
 from sic_simplex.simplex_geometry import frame_from_vertices
 from sic_simplex.su_basis import build_su_basis, structure_constants
 
@@ -131,6 +132,13 @@ def test_build_sic_refuses_bad_fiducial():
         build_sic(bad, basis)
 
 
+def test_build_sic_refuses_nan_residual():
+    fid = qubit_tetrahedron_fiducial()
+    fid.residual = float("nan")
+    with pytest.raises(ValueError):
+        build_sic(fid, build_su_basis(2))
+
+
 def test_build_sic_dimension_mismatch():
     with pytest.raises(ValueError):
         build_sic(qubit_tetrahedron_fiducial(), build_su_basis(3))
@@ -182,6 +190,47 @@ def test_fiducial_json_rejects_unnormalized():
     obj["psi"] = [[1.0, 0.0], [1.0, 0.0]]
     with pytest.raises(ValueError):
         fiducial_from_json(obj)
+
+
+def test_fiducial_json_rejects_nan_entry():
+    obj = fiducial_to_json(qubit_tetrahedron_fiducial())
+    obj["psi"][1][0] = float("nan")
+    with pytest.raises(ValueError):
+        fiducial_from_json(obj)
+
+
+def test_fiducial_json_keeps_converged():
+    fid = find_fiducial(3, seed=5, restarts=2)
+    obj = fiducial_to_json(fid)
+    assert obj["converged"] is True
+    assert fiducial_from_json(obj).converged is True
+    del obj["converged"]
+    assert fiducial_from_json(obj).converged is None
+
+
+def test_failed_catalog_write_keeps_previous_file(tmp_path):
+    path = tmp_path / "cat.json"
+    save_catalog({2: qubit_tetrahedron_fiducial()}, str(path))
+    before = path.read_bytes()
+    good = find_fiducial(3, seed=5, restarts=2)
+    # an unserializable config makes json.dump fail after writing the
+    # entries sorted before it
+    bad = Fiducial(d=4, psi=np.ones(4) / 2.0, residual=0.0,
+                   config={"x": object()})
+    with pytest.raises(TypeError):
+        save_catalog({3: good, 4: bad}, str(path))
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cat.json"]
+
+
+def test_record_fiducial_only_keeps_converged(tmp_path):
+    path = str(tmp_path / "cat.json")
+    fid = find_fiducial(3, seed=0, restarts=2, target_residual=1e-20)
+    record_fiducial(fid, path)
+    assert load_catalog(path) == {}
+    fid.converged = True
+    record_fiducial(fid, path)
+    assert load_catalog(path)[3].converged is True
 
 
 def test_catalog_roundtrip(tmp_path):

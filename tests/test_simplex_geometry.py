@@ -70,6 +70,32 @@ def test_to_point_validates():
 
 
 @pytest.mark.parametrize("n", [3, 8, 15, 24])
+def test_batched_to_point_matches_rows(n):
+    frame = build_simplex_frame(n)
+    p = np.random.default_rng(n).dirichlet(np.ones(n + 1), size=20)
+    s = to_point(p, frame)
+    assert s.shape == (20, n)
+    for p_row, s_row in zip(p, s):
+        assert np.max(np.abs(to_point(p_row, frame) - s_row)) <= 1e-15
+
+
+@pytest.mark.parametrize("defect", ["negative", "above_one", "sum", "nan"])
+def test_batched_to_point_rejects_any_bad_row(defect):
+    frame = build_simplex_frame(3)
+    p = np.full((6, 4), 0.25)
+    if defect == "negative":
+        p[4] = [0.5, 0.5, 0.5, -0.5]
+    elif defect == "above_one":
+        p[4] = [1.5, -0.1, -0.2, -0.2]
+    elif defect == "sum":
+        p[4] = 0.3
+    else:
+        p[4, 2] = np.nan
+    with pytest.raises(ValueError):
+        to_point(p, frame)
+
+
+@pytest.mark.parametrize("n", [3, 8, 15, 24])
 def test_roundtrip_random_distributions(n):
     frame = build_simplex_frame(n)
     rng = np.random.default_rng(n)

@@ -42,6 +42,31 @@ def test_probabilities_match_direct_traces(d, contexts):
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_batched_maps_match_rows(d, contexts):
+    ctx = contexts[d]
+    rhos = bloch.random_density_matrix(d, 50 + d, size=30)
+    p = state_to_probabilities(rhos, ctx)
+    s = probabilities_to_point(p, ctx)
+    assert p.shape == (30, d * d) and s.shape == (30, d * d - 1)
+    for rho, p_row, s_row in zip(rhos, p, s):
+        assert np.max(np.abs(state_to_probabilities(rho, ctx) - p_row)) <= 1e-15
+        assert np.max(np.abs(probabilities_to_point(p_row, ctx) - s_row)) <= 1e-15
+
+
+@pytest.mark.parametrize("defect", ["non_hermitian", "trace", "nan"])
+def test_batched_probabilities_reject_any_bad_row(defect, contexts):
+    rhos = bloch.random_density_matrix(3, 1, size=8)
+    if defect == "non_hermitian":
+        rhos[6, 2, 0] += 1e-9
+    elif defect == "trace":
+        rhos[6] *= 1.0 + 1e-9
+    else:
+        rhos[6, 0, 2] = np.nan
+    with pytest.raises(ValueError):
+        state_to_probabilities(rhos, contexts[3])
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
 def test_probabilities_of_a_sic_state(d, contexts):
     # rho = d E_1: the overlap law gives p_1 = 1/d, p_j = 1/(d(d+1))
     ctx = contexts[d]

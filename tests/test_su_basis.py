@@ -91,6 +91,20 @@ def test_d3_cross_check_against_direct_traces():
         assert abs(sc.dsym[a, b, c] - t.real / 2.0) < 1e-12
 
 
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_structure_constants_match_direct_traces(d):
+    # oracle: one np.trace of a plain triple product per (a, b, c)
+    basis = build_su_basis(d)
+    sc = structure_constants(basis)
+    S = basis.matrices
+    m = d * d - 1
+    triple = np.empty((m, m, m), dtype=complex)
+    for a, b, c in itertools.product(range(m), repeat=3):
+        triple[a, b, c] = np.trace(S[a] @ S[b] @ S[c])
+    assert np.max(np.abs(sc.f - triple.imag / 2.0)) < 1e-13
+    assert np.max(np.abs(sc.dsym - triple.real / 2.0)) < 1e-13
+
+
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_trace_consistency(d):
     basis = build_su_basis(d)
@@ -167,6 +181,16 @@ def test_star_product_symmetric_in_arguments():
     r1, r2 = rng.normal(size=8), rng.normal(size=8)
     np.testing.assert_allclose(star_product(r1, r2, sc),
                                star_product(r2, r1, sc), atol=1e-13)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_star_product_matches_dense_contraction(d):
+    sc = structure_constants(build_su_basis(d))
+    rng = np.random.default_rng(40 + d)
+    for _ in range(10):
+        r1, r2 = rng.normal(size=(2, d * d - 1))
+        expected = np.einsum('abc,a,b->c', sc.dsym, r1, r2)
+        assert np.max(np.abs(star_product(r1, r2, sc) - expected)) < 1e-13
 
 
 def test_star_product_length_mismatch():
