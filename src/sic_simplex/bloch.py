@@ -14,6 +14,8 @@ import numpy as np
 
 from .su_basis import SuBasis, StructureConstants, star_product, trace_columns
 
+# Hermiticity and unit-trace tolerance of input density matrices
+HERM_TRACE_TOL = 1e-12
 # eigensolvers return tiny negative eigenvalues for boundary states
 PSD_TOL = 1e-10
 PURITY_TOL = 1e-9
@@ -24,21 +26,20 @@ def _max_abs(x) -> float:
     return float(np.max(np.abs(x), initial=0.0))
 
 
-def validate_density_matrix(rho: np.ndarray, herm_tol: float = 1e-12,
-                            trace_tol: float = 1e-12,
-                            eig_tol: float = PSD_TOL) -> None:
-    """Raise ValueError unless rho is Hermitian, unit-trace and PSD."""
+def validate_density_matrix(rho: np.ndarray) -> None:
+    """Raise ValueError unless rho is Hermitian, unit-trace and PSD (within
+    `HERM_TRACE_TOL` and `PSD_TOL`); NaN fails every check."""
     rho = np.asarray(rho)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise ValueError(f"density matrix must be square, got shape {rho.shape}")
     herm = np.max(np.abs(rho - rho.conj().T))
-    if herm > herm_tol:
+    if not herm <= HERM_TRACE_TOL:
         raise ValueError(f"not Hermitian: max |rho - rho^dag| = {herm:.3e}")
     tr = np.trace(rho)
-    if abs(tr - 1.0) > trace_tol:
+    if not abs(tr - 1.0) <= HERM_TRACE_TOL:
         raise ValueError(f"trace is {tr!r}, expected 1")
     min_eig = float(np.linalg.eigvalsh(rho)[0])
-    if min_eig < -eig_tol:
+    if not min_eig >= -PSD_TOL:
         raise ValueError(f"not PSD: min eigenvalue {min_eig:.3e}")
 
 
@@ -56,38 +57,38 @@ def from_bloch(r: np.ndarray, basis: SuBasis) -> np.ndarray:
     return np.eye(d) / d + coeff * np.einsum('a,aij->ij', r, basis.matrices)
 
 
-def to_bloch(rho: np.ndarray, basis: SuBasis, tol: float = 1e-12) -> np.ndarray:
+def to_bloch(rho: np.ndarray, basis: SuBasis) -> np.ndarray:
     """Bloch vector r_a = sqrt(d/(2(d+1))) Tr(rho sigma_a).
 
     `rho` may carry leading batch axes, (..., d, d) -> (..., d**2 - 1).
-    Requires every rho Hermitian with unit trace (within `tol`); the
-    imaginary residue of the traces is checked against `tol` and then
-    discarded.  NaN fails every check.
+    Requires every rho Hermitian with unit trace (within `HERM_TRACE_TOL`);
+    the imaginary residue of the traces is checked against the same
+    tolerance and then discarded.  NaN fails every check.
     """
     d = basis.d
     rho = np.asarray(rho)
     if rho.shape[-2:] != (d, d):
         raise ValueError(f"expected {d}x{d} matrix, got shape {rho.shape}")
     herm = _max_abs(rho - np.swapaxes(rho, -1, -2).conj())
-    if not herm <= tol:
+    if not herm <= HERM_TRACE_TOL:
         raise ValueError(f"not Hermitian: max |rho - rho^dag| = {herm:.3e}")
     trace_err = _max_abs(np.trace(rho, axis1=-2, axis2=-1) - 1.0)
-    if not trace_err <= tol:
+    if not trace_err <= HERM_TRACE_TOL:
         raise ValueError(f"trace is off 1 by {trace_err:.3e}")
     traces = rho.reshape(rho.shape[:-2] + (d * d,)) @ trace_columns(basis)
-    if not _max_abs(traces.imag) <= tol:
+    if not _max_abs(traces.imag) <= HERM_TRACE_TOL:
         raise ValueError("Tr(rho sigma_a) has imaginary part beyond tolerance")
     return np.sqrt(d / (2.0 * (d + 1.0))) * traces.real
 
 
-def is_state(r: np.ndarray, basis: SuBasis, tol: float = PSD_TOL):
+def is_state(r: np.ndarray, basis: SuBasis):
     """Whether from_bloch(r) is positive semidefinite.
 
     Returns (ok, min_eigenvalue); ok is True iff the minimum eigenvalue is
-    >= -tol.
+    >= -PSD_TOL.
     """
     min_eig = float(np.linalg.eigvalsh(from_bloch(r, basis))[0])
-    return min_eig >= -tol, min_eig
+    return min_eig >= -PSD_TOL, min_eig
 
 
 def is_pure(r: np.ndarray, sc: StructureConstants, tol: float = PURITY_TOL) -> bool:

@@ -7,6 +7,7 @@ deterministic functions of the flags (including --seed).
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -105,7 +106,6 @@ def _cmd_geometry(args) -> int:
 
 def _cmd_find_sic(args) -> int:
     fid = find_fiducial(args.d, seed=args.seed, restarts=args.restarts,
-                        max_iters=args.max_iters,
                         target_residual=args.target_residual)
     _write_json(fiducial_to_json(fid), args.out)
     print(f"d={args.d} residual={fid.residual:.6e} "
@@ -228,7 +228,10 @@ def _cmd_tomography(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `sic-simplex` parser, built once per process: parsing does not
+    modify it, so every `main` call shares it."""
     parser = argparse.ArgumentParser(
         prog="sic-simplex",
         description="SIC-POVM probability-simplex toolkit")
@@ -244,7 +247,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=_dim, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--restarts", type=int, default=10)
-    p.add_argument("--max-iters", type=int, default=300)
     p.add_argument("--target-residual", type=float, default=1e-10)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_find_sic)

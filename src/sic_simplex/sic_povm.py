@@ -9,8 +9,9 @@ numerically by driving the frame potential
 
     sum_{i != j} (|<psi_i|psi_j>|^2 - 1/(d+1))^2
 
-to zero with a multi-start projected descent.  For d = 2 an exact fiducial
-(Bloch direction (1,1,1)/sqrt(3), the regular tetrahedron) is built in.
+to zero with a multi-start damped Gauss-Newton iteration on the unit
+sphere.  For d = 2 an exact fiducial (Bloch direction (1,1,1)/sqrt(3), the
+regular tetrahedron) is built in.
 """
 
 import contextlib
@@ -134,68 +135,27 @@ def qubit_tetrahedron_fiducial() -> Fiducial:
 # depend on the displacement difference, so the search minimizes the reduced
 # objective over the d**2 - 1 nonzero displacements:
 #
-#     phi(psi) = sum_{D != I} (|<psi|D|psi>|^2 - 1/(d+1))^2
+#     phi(psi) = sum_{D != I} w_D^2,   w_D = |<psi|D|psi>|^2 - 1/(d+1)
 #
 # (proportional to the full frame potential on the orbit).  Each restart runs
-# a Barzilai-Borwein descent with the analytic gradient, renormalizing to the
-# unit sphere after every step, then a damped Gauss-Newton polish (also
-# sphere-projected) that converges to the machine floor near a zero of phi.
+# a damped Gauss-Newton iteration on the deviation vector w straight from a
+# random start, renormalizing to the unit sphere after every step; near a
+# zero of phi it converges quadratically to the machine floor.
 # ---------------------------------------------------------------------------
 
-def _objective_grad(disp: np.ndarray, psi: np.ndarray, target: float):
-    """phi(psi) and its Wirtinger-derived real gradient 4 * dphi/dpsi*."""
+def _deviations(disp: np.ndarray, psi: np.ndarray, target: float):
+    """D psi for every displacement D, the overlaps c_D = <psi|D|psi> and
+    the deviations w_D = |c_D|^2 - target."""
     d_psi = np.einsum('aij,j->ai', disp, psi)
-    ddag_psi = np.einsum('aji,j->ai', disp.conj(), psi)
     c = d_psi @ psi.conj()
-    w = np.abs(c) ** 2 - target
-    phi = float(np.sum(w ** 2))
-    grad = 4.0 * (np.einsum('a,ai->i', w * c.conj(), d_psi)
-                  + np.einsum('a,ai->i', w * c, ddag_psi))
-    return phi, grad
-
-
-def _tangent(psi: np.ndarray, grad: np.ndarray) -> np.ndarray:
-    # remove the radial component so steps stay first-order on the sphere
-    return grad - psi * np.real(np.vdot(psi, grad))
-
-
-def _descend(disp, psi, target, max_iters):
-    psi = psi / np.linalg.norm(psi)
-    phi, grad = _objective_grad(disp, psi, target)
-    grad = _tangent(psi, grad)
-    step = 1.0 / (1.0 + np.linalg.norm(grad))
-    prev_psi = prev_grad = None
-    for _ in range(max_iters):
-        gnorm2 = float(np.real(np.vdot(grad, grad)))
-        if gnorm2 < 1e-32:
-            break
-        if prev_psi is not None:
-            s = psi - prev_psi
-            y = grad - prev_grad
-            sy = float(np.real(np.vdot(s, y)))
-            step = float(np.real(np.vdot(s, s))) / sy if sy > 0 else 1.0
-        for _ in range(40):
-            cand = psi - step * grad
-            cand /= np.linalg.norm(cand)
-            phi_c, grad_c = _objective_grad(disp, cand, target)
-            if phi_c < phi:
-                break
-            step *= 0.5
-        else:
-            break
-        prev_psi, prev_grad = psi, grad
-        psi, phi = cand, phi_c
-        grad = _tangent(psi, grad_c)
-    return psi, phi
+    return d_psi, c, np.abs(c) ** 2 - target
 
 
 def _residuals_jacobian(disp, psi, target):
     """Deviation vector w and its Jacobian wrt (Re psi, Im psi) at unit psi,
     with the radial direction projected out of the derivative."""
-    d_psi = np.einsum('aij,j->ai', disp, psi)
+    d_psi, c, w = _deviations(disp, psi, target)
     ddag_psi = np.einsum('aji,j->ai', disp.conj(), psi)
-    c = d_psi @ psi.conj()
-    w = np.abs(c) ** 2 - target
     h = c.conj()[:, None] * d_psi + c[:, None] * ddag_psi  # dw_a/dpsi*
     radial = np.real(np.einsum('ai,i->a', h.conj(), psi))
     d = psi.shape[0]
@@ -206,12 +166,13 @@ def _residuals_jacobian(disp, psi, target):
 
 
 def _polish(disp, psi, target, max_iters=60):
-    """Damped Gauss-Newton on the deviation vector; quadratic convergence
-    to the machine floor once inside a SIC basin."""
+    """Damped Gauss-Newton on the deviation vector from the normalized start
+    `psi`, with a halving line search on phi and the damping raised whenever
+    no step decreases it.  Returns the final unit vector; the iteration
+    stops once phi < 1e-31 or after `max_iters` steps."""
     psi = psi / np.linalg.norm(psi)
     d = psi.shape[0]
     lam = 1e-12
-    phi = float(np.sum(_residuals_jacobian(disp, psi, target)[0] ** 2))
     for _ in range(max_iters):
         w, jac = _residuals_jacobian(disp, psi, target)
         phi = float(np.sum(w ** 2))
@@ -227,7 +188,7 @@ def _polish(disp, psi, target, max_iters=60):
         for _ in range(30):
             cand = psi + step
             cand /= np.linalg.norm(cand)
-            phi_c = float(np.sum(_residuals_jacobian(disp, cand, target)[0] ** 2))
+            phi_c = float(np.sum(_deviations(disp, cand, target)[2] ** 2))
             if phi_c < phi:
                 break
             step *= 0.5
@@ -236,19 +197,18 @@ def _polish(disp, psi, target, max_iters=60):
             continue
         psi = cand
         lam = max(lam * 0.3, 1e-14)
-    return psi, phi
+    return psi
 
 
 def find_fiducial(d: int, seed: int = 0, restarts: int = 10,
-                  max_iters: int = 300,
                   target_residual: float = DEFAULT_TARGET_RESIDUAL) -> Fiducial:
     """Multi-start frame-potential minimization over unit vectors in C^d.
 
-    All restarts run to local convergence and the one with the smallest
-    orbit residual wins (ties by lowest restart index), so the result is a
-    deterministic function of (d, seed, restarts, max_iters).  When even the
-    best residual misses `target_residual`, the fiducial is still returned
-    with `converged = False` rather than raising.
+    Each restart polishes one random complex Gaussian start (see `_polish`);
+    the one with the smallest orbit residual wins (ties by lowest restart
+    index), so the result is deterministic in (d, seed, restarts).  When even
+    the best residual misses `target_residual`, the fiducial is still
+    returned with `converged = False` rather than raising.
     """
     if d < 2:
         raise ValueError(f"need d >= 2, got d={d}")
@@ -256,36 +216,32 @@ def find_fiducial(d: int, seed: int = 0, restarts: int = 10,
         raise ValueError("need at least one restart")
     rng = np.random.default_rng(seed)
     disp = displacement_operators(d)
-    disp_nz = disp[1:]
     target = 1.0 / (d + 1.0)
     best_psi, best_res = None, np.inf
     for _ in range(restarts):
         start = rng.normal(size=d) + 1j * rng.normal(size=d)
-        psi, _ = _descend(disp_nz, start, target, max_iters)
-        psi, _ = _polish(disp_nz, psi, target)
+        psi = _polish(disp[1:], start, target)
         res = sic_residual(np.einsum('aij,j->ai', disp, psi))
         if res < best_res:
             best_psi, best_res = psi, res
-    config = {"restarts": restarts, "max_iters": max_iters,
-              "target_residual": target_residual}
+    config = {"restarts": restarts, "target_residual": target_residual}
     return Fiducial(d=d, psi=best_psi, residual=float(best_res),
                     source="search", seed=seed, config=config,
                     converged=bool(best_res <= target_residual))
 
 
-def build_sic(fid: Fiducial, basis: SuBasis,
-              max_residual: float = MAX_BUILD_RESIDUAL) -> SicPovm:
+def build_sic(fid: Fiducial, basis: SuBasis) -> SicPovm:
     """Effects E_i = |psi_i><psi_i| / d and Bloch directions e_i of d*E_i.
 
-    Refuses fiducials whose orbit residual exceeds `max_residual`: the
-    resulting operators would not resolve the identity to any useful
+    Refuses fiducials whose orbit residual exceeds `MAX_BUILD_RESIDUAL`:
+    the resulting operators would not resolve the identity to any useful
     accuracy.
     """
     if basis.d != fid.d:
         raise ValueError(f"basis dimension {basis.d} != fiducial dimension {fid.d}")
-    if not fid.residual <= max_residual:
-        raise ValueError(
-            f"fiducial residual {fid.residual:.3e} exceeds {max_residual:.1e}")
+    if not fid.residual <= MAX_BUILD_RESIDUAL:
+        raise ValueError(f"fiducial residual {fid.residual:.3e} exceeds "
+                         f"{MAX_BUILD_RESIDUAL:.1e}")
     orbit = wh_orbit(fid)
     effects = np.einsum('ai,aj->aij', orbit, orbit.conj()) / fid.d
     # one batched call: the d**2 effects are already held in full
@@ -383,7 +339,7 @@ def record_fiducial(fid: Fiducial, path: str | None = None,
 
 
 def get_fiducial(d: int, seed: int = 0, catalog_path: str | None = None,
-                 restarts: int = 10, max_iters: int = 300,
+                 restarts: int = 10,
                  target_residual: float = DEFAULT_TARGET_RESIDUAL) -> Fiducial:
     """Resolve a fiducial: builtin (d = 2), then catalog, then fresh search.
 
@@ -401,7 +357,7 @@ def get_fiducial(d: int, seed: int = 0, catalog_path: str | None = None,
         if actual <= target_residual:
             cached.residual = float(actual)
             return cached
-    fid = find_fiducial(d, seed=seed, restarts=restarts, max_iters=max_iters,
+    fid = find_fiducial(d, seed=seed, restarts=restarts,
                         target_residual=target_residual)
     record_fiducial(fid, path, catalog)
     return fid

@@ -41,7 +41,8 @@ def build_simplex_frame(n: int) -> SimplexFrame:
 
 def frame_from_vertices(vertices: np.ndarray, tol: float = 1e-10) -> SimplexFrame:
     """Wrap an explicit (n+1, n) vertex array, validating the Gram relation
-    t_i . t_j = (n+1) delta_ij - 1 and the zero-sum property."""
+    t_i . t_j = (n+1) delta_ij - 1 and the zero-sum property within `tol`;
+    NaN fails both checks."""
     vertices = np.asarray(vertices, dtype=float)
     if vertices.ndim != 2 or vertices.shape[0] != vertices.shape[1] + 1:
         raise ValueError(f"expected (n+1, n) vertex array, got {vertices.shape}")
@@ -49,10 +50,10 @@ def frame_from_vertices(vertices: np.ndarray, tol: float = 1e-10) -> SimplexFram
     gram = vertices @ vertices.T
     expected = (n + 1.0) * np.eye(n + 1) - 1.0
     err = np.max(np.abs(gram - expected))
-    if err > tol:
+    if not err <= tol:
         raise ValueError(f"vertex Gram matrix off by {err:.3e} (> {tol:.1e})")
     zsum = np.max(np.abs(vertices.sum(axis=0)))
-    if zsum > tol:
+    if not zsum <= tol:
         raise ValueError(f"vertices do not sum to zero (|sum| = {zsum:.3e})")
     return SimplexFrame(n=n, vertices=vertices)
 
@@ -74,19 +75,20 @@ def to_point(p: np.ndarray, frame: SimplexFrame) -> np.ndarray:
     return p @ frame.vertices
 
 
-def to_probabilities(s: np.ndarray, frame: SimplexFrame,
-                     tol: float = MEMBERSHIP_TOL):
+def to_probabilities(s: np.ndarray, frame: SimplexFrame):
     """Recover p_i = (s . t_i + 1) / (n+1) from a point s.
 
     Returns (p, inside): the full vector is always returned, and `inside`
-    flags whether every p_i lies in [0, 1] within `tol`.  Points outside the
-    simplex are flagged, never raised, so callers can classify them.
+    flags whether every p_i lies in [0, 1] within `MEMBERSHIP_TOL`.  Points
+    outside the simplex are flagged, never raised, so callers can classify
+    them.
     """
     s = np.asarray(s, dtype=float)
     if s.shape != (frame.n,):
         raise ValueError(f"expected point of length {frame.n}, got {s.shape}")
     p = (frame.vertices @ s + 1.0) / (frame.n + 1.0)
-    inside = bool(np.all(p >= -tol) and np.all(p <= 1.0 + tol))
+    inside = bool(np.all(p >= -MEMBERSHIP_TOL)
+                  and np.all(p <= 1.0 + MEMBERSHIP_TOL))
     return p, inside
 
 
@@ -107,12 +109,3 @@ def sum_p_squared(s: np.ndarray, frame: SimplexFrame) -> float:
     if s.shape != (frame.n,):
         raise ValueError(f"expected point of length {frame.n}, got {s.shape}")
     return float((s @ s + 1.0) / (frame.n + 1.0))
-
-
-def frame_to_json(frame: SimplexFrame) -> dict:
-    return {"n": frame.n,
-            "vertices": [[float(x) for x in v] for v in frame.vertices]}
-
-
-def frame_from_json(obj: dict) -> SimplexFrame:
-    return frame_from_vertices(np.array(obj["vertices"], dtype=float))

@@ -16,8 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bloch, simplex_geometry
-from .bloch import PSD_TOL, PURITY_TOL
-from .simplex_geometry import MEMBERSHIP_TOL, SimplexFrame, facet_distance
+from .simplex_geometry import SimplexFrame, facet_distance
 from .sic_povm import SicPovm, Fiducial, build_sic, get_fiducial
 from .su_basis import SuBasis, StructureConstants, build_su_basis, structure_constants
 
@@ -28,6 +27,8 @@ PURE_STATE = "pure_state"
 
 # states per batched call in the sampling sweeps; bounds their temporaries
 SAMPLE_BLOCK = 250
+# smallest eigenvalue below -this makes a sphere point a non-state witness
+MIN_WITNESS_NEGATIVITY = 1e-6
 
 
 def sample_blocks(samples: int) -> list:
@@ -165,31 +166,28 @@ def report_to_json(rep: GeometryReport) -> dict:
     }
 
 
-def classify_point(s: np.ndarray, ctx: QuantumSimplexContext,
-                   membership_tol: float = MEMBERSHIP_TOL,
-                   psd_tol: float = PSD_TOL,
-                   purity_tol: float = PURITY_TOL) -> str:
+def classify_point(s: np.ndarray, ctx: QuantumSimplexContext) -> str:
     """Classify a point of R^(d**2-1) relative to the simplex and the states.
 
     Tests run cheapest-and-tightest first: simplex membership (recovered
-    probabilities in [0, 1]), then positivity of the candidate matrix, then
-    purity of its Bloch vector.
+    probabilities in [0, 1] within `MEMBERSHIP_TOL`), then positivity of the
+    candidate matrix (`PSD_TOL`), then purity of its Bloch vector
+    (`PURITY_TOL`).
     """
     s = np.asarray(s, dtype=float)
-    _, inside = simplex_geometry.to_probabilities(s, ctx.frame, tol=membership_tol)
+    _, inside = simplex_geometry.to_probabilities(s, ctx.frame)
     if not inside:
         return OUTSIDE_SIMPLEX
-    ok, _ = bloch.is_state(s, ctx.basis, tol=psd_tol)
+    ok, _ = bloch.is_state(s, ctx.basis)
     if not ok:
         return IN_SIMPLEX_NOT_STATE
-    if bloch.is_pure(s, ctx.sc, tol=purity_tol):
+    if bloch.is_pure(s, ctx.sc):
         return PURE_STATE
     return MIXED_STATE
 
 
 def find_nonstate_sphere_point(ctx: QuantumSimplexContext, seed=0,
-                               max_tries: int = 100,
-                               min_negativity: float = 1e-6) -> np.ndarray:
+                               max_tries: int = 100) -> np.ndarray:
     """A point on the pure-state sphere, inside the simplex, that is not a
     state.
 
@@ -214,7 +212,7 @@ def find_nonstate_sphere_point(ctx: QuantumSimplexContext, seed=0,
         if not inside:
             continue
         _, min_eig = bloch.is_state(s, ctx.basis)
-        if min_eig < -min_negativity:
+        if min_eig < -MIN_WITNESS_NEGATIVITY:
             return s
     raise RuntimeError(
         f"no non-state sphere point found for d={ctx.d} in {max_tries} tries")

@@ -126,10 +126,3 @@ def star_product(r1: np.ndarray, r2: np.ndarray,
             f"got {r1.shape} and {r2.shape}")
     # two matvecs on dsym viewed as (m, m*m): sum_b r2_b (sum_a r1_a dsym_abc)
     return r2 @ (r1 @ sc.dsym.reshape(m, m * m)).reshape(m, m)
-
-
-def basis_to_json(basis: SuBasis) -> dict:
-    """Debug dump: each matrix as a d x d array of [re, im] pairs."""
-    mats = [[[[float(z.real), float(z.imag)] for z in row] for row in m]
-            for m in basis.matrices]
-    return {"d": basis.d, "matrices": mats}

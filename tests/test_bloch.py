@@ -220,6 +220,8 @@ def test_validate_density_matrix_rejects():
         validate_density_matrix(np.eye(2))                           # trace 2
     with pytest.raises(ValueError):
         validate_density_matrix(np.diag([1.5, -0.5]))                # negative eig
+    with pytest.raises(ValueError):
+        validate_density_matrix(np.array([[np.nan, 0.0], [0.0, 0.5]]))  # NaN
 
 
 def test_state_json_roundtrip():

@@ -102,9 +102,10 @@ def test_search_d3():
     assert fid.residual < 1e-10
 
 
-@pytest.mark.parametrize("d", [4, 5])
+@pytest.mark.parametrize("d", [4, 5, 6, 7])
 def test_search_higher_dimensions(d):
     fid = find_fiducial(d, seed=1)
+    assert fid.converged
     assert fid.residual < 1e-8
 
 

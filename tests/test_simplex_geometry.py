@@ -6,8 +6,7 @@ from hypothesis import strategies as st
 from sic_simplex.simplex_geometry import (build_simplex_frame,
                                           frame_from_vertices, to_point,
                                           to_probabilities, facet_distance,
-                                          sum_p_squared, frame_to_json,
-                                          frame_from_json)
+                                          sum_p_squared)
 
 
 def test_line_segment():
@@ -201,9 +200,7 @@ def test_frame_from_vertices_validates():
         frame_from_vertices(1.1 * good)      # breaks the Gram relation
     with pytest.raises(ValueError):
         frame_from_vertices(good[:, :3])     # not (n+1, n)
-
-
-def test_json_roundtrip():
-    frame = build_simplex_frame(3)
-    again = frame_from_json(frame_to_json(frame))
-    np.testing.assert_allclose(again.vertices, frame.vertices, atol=1e-15)
+    bad = good.copy()
+    bad[0, 0] = np.nan
+    with pytest.raises(ValueError):
+        frame_from_vertices(bad)             # NaN entry

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sic_simplex.su_basis import (build_su_basis, structure_constants,
-                                  star_product, basis_to_json)
+                                  star_product)
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]])
@@ -197,11 +197,3 @@ def test_star_product_length_mismatch():
     sc = structure_constants(build_su_basis(3))
     with pytest.raises(ValueError):
         star_product(np.zeros(7), np.zeros(8), sc)
-
-
-def test_json_dump_shape():
-    obj = basis_to_json(build_su_basis(2))
-    assert obj["d"] == 2
-    assert len(obj["matrices"]) == 3
-    assert obj["matrices"][0][0][1] == [1.0, 0.0]   # sigma_x entry (0,1)
-    assert obj["matrices"][1][0][1] == [0.0, -1.0]  # sigma_y entry (0,1)
