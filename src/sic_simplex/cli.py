@@ -8,6 +8,7 @@ deterministic functions of the flags (including --seed).
 import argparse
 import csv
 import functools
+import inspect
 import json
 import math
 import sys
@@ -15,8 +16,8 @@ import sys
 import numpy as np
 
 from . import bloch, state_simplex
-from .sic_povm import (Fiducial, fiducial_from_json, fiducial_to_json,
-                       find_fiducial, record_fiducial, sic_residual, wh_orbit)
+from .sic_povm import (DEFAULT_TARGET_RESIDUAL, fiducial_from_json,
+                       fiducial_to_json, find_fiducial, record_fiducial)
 from .simplex_geometry import to_probabilities
 from .state_simplex import (build_context, geometry_report, report_to_json,
                             sample_blocks, simulate_tomography,
@@ -76,18 +77,10 @@ def _load_json(path: str) -> dict:
         return json.load(fh)
 
 
-def _fiducial_from_file(path: str) -> Fiducial:
-    """Load a fiducial entry, re-verifying the residual from the vector
-    itself so a corrupted entry cannot sneak through."""
-    fid = fiducial_from_json(_load_json(path))
-    fid.residual = sic_residual(wh_orbit(fid))
-    return fid
-
-
 def _context(d: int, args) -> state_simplex.QuantumSimplexContext:
     fid = None
     if getattr(args, "fiducial", None):
-        fid = _fiducial_from_file(args.fiducial)
+        fid = fiducial_from_json(_load_json(args.fiducial))
         if fid.d != d:
             raise ValueError(f"fiducial file is for d={fid.d}, expected d={d}")
     return build_context(d, fiducial=fid, seed=getattr(args, "seed", 0))
@@ -246,8 +239,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("find-sic", help="search for a SIC fiducial")
     p.add_argument("--d", type=_dim, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--restarts", type=int, default=10)
-    p.add_argument("--target-residual", type=float, default=1e-10)
+    p.add_argument("--restarts", type=int,
+                   default=inspect.signature(find_fiducial)
+                   .parameters["restarts"].default)
+    p.add_argument("--target-residual", type=float,
+                   default=DEFAULT_TARGET_RESIDUAL)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_find_sic)
 

@@ -11,11 +11,14 @@ numerically by driving the frame potential
 
 to zero with a multi-start damped Gauss-Newton iteration on the unit
 sphere.  For d = 2 an exact fiducial (Bloch direction (1,1,1)/sqrt(3), the
-regular tetrahedron) is built in.
+regular tetrahedron) is built in.  A fiducial's residual is always
+recomputed from its vector, never taken from storage.
 """
 
 import contextlib
+import functools
 import json
+import logging
 import os
 from dataclasses import dataclass, field
 
@@ -28,33 +31,33 @@ from .su_basis import SuBasis
 MAX_BUILD_RESIDUAL = 1e-6
 DEFAULT_TARGET_RESIDUAL = 1e-10
 
+log = logging.getLogger("sic_simplex")
+
 
 @dataclass
 class Fiducial:
     """Unit vector whose displacement orbit is (close to) a SIC.
 
-    `residual` is the orbit's worst overlap deviation (see `sic_residual`);
+    `d` and `residual` (the orbit's worst overlap deviation, see
+    `sic_residual`) are read off `psi`, so they cannot disagree with it;
     `source` records provenance ("builtin", "search" or "manual"); for
     searches, `seed`/`config` pin the run and `converged` records whether
     the target residual was reached.
     """
 
-    d: int
     psi: np.ndarray  # (d,) complex, unit norm
-    residual: float
     source: str = "manual"
     seed: int | None = None
     config: dict | None = None
     converged: bool | None = None
 
-    @classmethod
-    def from_vector(cls, psi: np.ndarray, source: str = "manual") -> "Fiducial":
-        """Normalize a vector and record the residual of its orbit."""
-        psi = np.asarray(psi, dtype=complex)
-        psi = psi / np.linalg.norm(psi)
-        d = psi.shape[0]
-        res = sic_residual(wh_orbit_of_vector(psi))
-        return cls(d=d, psi=psi, residual=float(res), source=source)
+    @property
+    def d(self) -> int:
+        return self.psi.shape[0]
+
+    @property
+    def residual(self) -> float:
+        return sic_residual(wh_orbit(self.psi))
 
 
 @dataclass
@@ -67,11 +70,13 @@ class SicPovm:
     fiducial: Fiducial = field(repr=False)
 
 
+@functools.cache
 def displacement_operators(d: int) -> np.ndarray:
     """All D_{k,l} = tau^{kl} X^k Z^l as an array indexed by i = k*d + l.
 
     X|j> = |j+1 mod d>, Z|j> = omega^j |j> with omega = exp(2 pi i / d),
     and tau = -exp(i pi / d) keeps the orbit well defined for even d.
+    Built once per d and shared, so the array is read-only.
     """
     tau = -np.exp(1j * np.pi / d)
     omega = np.exp(2j * np.pi / d)
@@ -83,17 +88,14 @@ def displacement_operators(d: int) -> np.ndarray:
     for k in range(d):
         for l in range(d):
             ops[k * d + l] = tau ** (k * l) * (shift_pow[k] @ clock_pow[l])
+    ops.flags.writeable = False
     return ops
 
 
-def wh_orbit_of_vector(psi: np.ndarray) -> np.ndarray:
+def wh_orbit(psi: np.ndarray) -> np.ndarray:
     """Orbit D_{k,l} |psi> for all (k, l), ordered by i = k*d + l."""
     psi = np.asarray(psi, dtype=complex)
     return np.einsum('aij,j->ai', displacement_operators(psi.shape[0]), psi)
-
-
-def wh_orbit(fid: Fiducial) -> np.ndarray:
-    return wh_orbit_of_vector(fid.psi)
 
 
 def _overlap_deviations(orbit: np.ndarray) -> np.ndarray:
@@ -123,9 +125,7 @@ def qubit_tetrahedron_fiducial() -> Fiducial:
     cos_theta = 1.0 / np.sqrt(3.0)
     psi = np.array([np.sqrt((1.0 + cos_theta) / 2.0),
                     np.exp(1j * np.pi / 4.0) * np.sqrt((1.0 - cos_theta) / 2.0)])
-    res = sic_residual(wh_orbit_of_vector(psi))
-    return Fiducial(d=2, psi=psi, residual=float(res), source="builtin",
-                    converged=True)
+    return Fiducial(psi=psi, source="builtin", converged=True)
 
 
 # ---------------------------------------------------------------------------
@@ -217,32 +217,30 @@ def find_fiducial(d: int, seed: int = 0, restarts: int = 10,
     rng = np.random.default_rng(seed)
     disp = displacement_operators(d)
     target = 1.0 / (d + 1.0)
-    best_psi, best_res = None, np.inf
-    for _ in range(restarts):
-        start = rng.normal(size=d) + 1j * rng.normal(size=d)
-        psi = _polish(disp[1:], start, target)
-        res = sic_residual(np.einsum('aij,j->ai', disp, psi))
-        if res < best_res:
-            best_psi, best_res = psi, res
+    psis = [_polish(disp[1:], rng.normal(size=d) + 1j * rng.normal(size=d),
+                    target) for _ in range(restarts)]
+    residuals = np.array([sic_residual(wh_orbit(psi)) for psi in psis])
+    # a NaN residual ranks last; when all are NaN the first restart stands
+    best = int(np.argmin(np.where(np.isnan(residuals), np.inf, residuals)))
     config = {"restarts": restarts, "target_residual": target_residual}
-    return Fiducial(d=d, psi=best_psi, residual=float(best_res),
-                    source="search", seed=seed, config=config,
-                    converged=bool(best_res <= target_residual))
+    return Fiducial(psi=psis[best], source="search", seed=seed, config=config,
+                    converged=bool(residuals[best] <= target_residual))
 
 
 def build_sic(fid: Fiducial, basis: SuBasis) -> SicPovm:
     """Effects E_i = |psi_i><psi_i| / d and Bloch directions e_i of d*E_i.
 
-    Refuses fiducials whose orbit residual exceeds `MAX_BUILD_RESIDUAL`:
-    the resulting operators would not resolve the identity to any useful
-    accuracy.
+    Refuses fiducials whose orbit residual, computed here from the orbit
+    itself, exceeds `MAX_BUILD_RESIDUAL` (or is NaN): the resulting
+    operators would not resolve the identity to any useful accuracy.
     """
     if basis.d != fid.d:
         raise ValueError(f"basis dimension {basis.d} != fiducial dimension {fid.d}")
-    if not fid.residual <= MAX_BUILD_RESIDUAL:
-        raise ValueError(f"fiducial residual {fid.residual:.3e} exceeds "
+    orbit = wh_orbit(fid.psi)
+    res = sic_residual(orbit)
+    if not res <= MAX_BUILD_RESIDUAL:
+        raise ValueError(f"fiducial residual {res:.3e} exceeds "
                          f"{MAX_BUILD_RESIDUAL:.1e}")
-    orbit = wh_orbit(fid)
     effects = np.einsum('ai,aj->aij', orbit, orbit.conj()) / fid.d
     # one batched call: the d**2 effects are already held in full
     bloch_dirs = to_bloch(fid.d * effects, basis)
@@ -274,6 +272,7 @@ def fiducial_to_json(fid: Fiducial) -> dict:
 
 
 def fiducial_from_json(obj: dict) -> Fiducial:
+    """Fiducial from a catalog entry; its "residual" field is not read."""
     arr = np.array(obj["psi"], dtype=float)
     d = int(obj["d"])
     if arr.shape != (d, 2):
@@ -282,9 +281,9 @@ def fiducial_from_json(obj: dict) -> Fiducial:
     nrm = np.linalg.norm(psi)
     if not abs(nrm - 1.0) <= 1e-12:
         raise ValueError(f"fiducial vector norm {nrm!r} != 1")
-    return Fiducial(d=d, psi=psi, residual=float(obj["residual"]),
-                    source=obj.get("source", "manual"), seed=obj.get("seed"),
-                    config=obj.get("config"), converged=obj.get("converged"))
+    return Fiducial(psi=psi, source=obj.get("source", "manual"),
+                    seed=obj.get("seed"), config=obj.get("config"),
+                    converged=obj.get("converged"))
 
 
 def load_catalog(path: str) -> dict:
@@ -317,14 +316,15 @@ def save_catalog(catalog: dict, path: str) -> None:
 def _load_catalog_or_empty(path: str) -> dict:
     try:
         return load_catalog(path)
-    except (ValueError, KeyError, json.JSONDecodeError):
+    except (ValueError, KeyError, json.JSONDecodeError) as exc:
+        log.warning("unreadable fiducial catalog %s: %s", path, exc)
         return {}
 
 
 def record_fiducial(fid: Fiducial, path: str | None = None,
                     catalog: dict | None = None) -> None:
     """Persist a converged search result into the catalog at `path` (best
-    effort: an unreadable catalog is replaced, a failed write is ignored).
+    effort: an unreadable catalog is replaced, a failed write is logged).
 
     `catalog` is the caller's already loaded copy of that file, if any.
     """
@@ -334,18 +334,19 @@ def record_fiducial(fid: Fiducial, path: str | None = None,
     if catalog is None:
         catalog = _load_catalog_or_empty(path)
     catalog[fid.d] = fid
-    with contextlib.suppress(OSError):
+    try:
         save_catalog(catalog, path)
+    except OSError as exc:
+        log.warning("could not write fiducial catalog %s: %s", path, exc)
 
 
-def get_fiducial(d: int, seed: int = 0, catalog_path: str | None = None,
-                 restarts: int = 10,
-                 target_residual: float = DEFAULT_TARGET_RESIDUAL) -> Fiducial:
+def get_fiducial(d: int, seed: int = 0,
+                 catalog_path: str | None = None) -> Fiducial:
     """Resolve a fiducial: builtin (d = 2), then catalog, then fresh search.
 
-    Catalog entries are re-verified by recomputing the orbit residual; stale
-    or corrupted entries fall through to a new search.  Search results are
-    persisted back to the catalog (best effort).
+    A catalog entry is used only if its vector's orbit residual meets
+    `DEFAULT_TARGET_RESIDUAL`, else a new search runs and is persisted back
+    (best effort).  Catalog decisions go to the "sic_simplex" logger.
     """
     if d == 2:
         return qubit_tetrahedron_fiducial()
@@ -353,11 +354,11 @@ def get_fiducial(d: int, seed: int = 0, catalog_path: str | None = None,
     catalog = _load_catalog_or_empty(path)
     cached = catalog.get(d)
     if cached is not None:
-        actual = sic_residual(wh_orbit(cached))
-        if actual <= target_residual:
-            cached.residual = float(actual)
+        res = cached.residual
+        if res <= DEFAULT_TARGET_RESIDUAL:
+            log.debug("catalog hit for d=%d in %s", d, path)
             return cached
-    fid = find_fiducial(d, seed=seed, restarts=restarts,
-                        target_residual=target_residual)
+        log.warning("refused catalog entry for d=%d: residual %.3e", d, res)
+    fid = find_fiducial(d, seed=seed)
     record_fiducial(fid, path, catalog)
     return fid

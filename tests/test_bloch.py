@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sic_simplex.bloch import (from_bloch, to_bloch, is_state, is_pure,
                                random_density_matrix, random_pure_state,
@@ -240,3 +242,45 @@ def test_bloch_json_roundtrip():
 def test_bloch_json_length_validation():
     with pytest.raises(ValueError):
         bloch_from_json({"d": 3, "bloch": [0.0] * 7})
+
+
+# adversarial single-entry edits of a Ginibre state: both gates must refuse
+# each, whichever entry is hit
+GATES = [lambda rho: to_bloch(rho, BASES[rho.shape[0]]), validate_density_matrix]
+ginibre = st.builds(random_density_matrix, st.integers(2, 5),
+                    st.integers(0, 2 ** 32 - 1))
+breach = st.floats(1e-9, 1e6)
+direction = st.sampled_from([1.0, -1.0, 1j, -1j])
+
+
+def _assert_gates_refuse(rho):
+    for gate in GATES:
+        with pytest.raises(ValueError):
+            gate(rho)
+
+
+@settings(max_examples=50, deadline=None)
+@given(ginibre, st.data())
+def test_gates_reject_nan_at_any_entry(rho, data):
+    d = rho.shape[0]
+    i, j = data.draw(st.integers(0, d - 1)), data.draw(st.integers(0, d - 1))
+    rho[i, j] = data.draw(st.sampled_from([np.nan, 1j * np.nan]))
+    _assert_gates_refuse(rho)
+
+
+@settings(max_examples=50, deadline=None)
+@given(ginibre, st.data(), breach, direction)
+def test_gates_reject_hermiticity_breach(rho, data, eps, phase):
+    d = rho.shape[0]
+    i = data.draw(st.integers(0, d - 1))
+    j = data.draw(st.integers(0, d - 1).filter(lambda k: k != i))
+    rho[i, j] += eps * phase
+    _assert_gates_refuse(rho)
+
+
+@settings(max_examples=50, deadline=None)
+@given(ginibre, st.data(), breach, st.sampled_from([1.0, -1.0]))
+def test_gates_reject_trace_shift(rho, data, eps, sign):
+    k = data.draw(st.integers(0, rho.shape[0] - 1))
+    rho[k, k] += sign * eps
+    _assert_gates_refuse(rho)

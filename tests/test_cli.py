@@ -1,3 +1,4 @@
+import inspect
 import json
 import subprocess
 import sys
@@ -6,8 +7,9 @@ import numpy as np
 import pytest
 
 from sic_simplex import bloch
-from sic_simplex.cli import main
-from sic_simplex.sic_povm import fiducial_to_json, qubit_tetrahedron_fiducial
+from sic_simplex.cli import build_parser, main
+from sic_simplex.sic_povm import (DEFAULT_TARGET_RESIDUAL, find_fiducial,
+                                  fiducial_to_json, qubit_tetrahedron_fiducial)
 
 
 def _read_json(path):
@@ -48,6 +50,14 @@ def test_find_sic_converges_and_is_deterministic(tmp_path):
     obj = _read_json(out_a)
     assert obj["residual"] < 1e-10
     assert obj["converged"] is True
+
+
+def test_find_sic_defaults_are_the_search_defaults():
+    args = build_parser().parse_args(["find-sic", "--d", "3"])
+    search = inspect.signature(find_fiducial).parameters
+    assert args.restarts == search["restarts"].default
+    assert args.target_residual == search["target_residual"].default
+    assert args.target_residual == DEFAULT_TARGET_RESIDUAL
 
 
 def test_find_sic_d3(tmp_path):

@@ -1,12 +1,17 @@
 import json
+import logging
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from sic_simplex import sic_povm
 from sic_simplex.bloch import is_pure
+from sic_simplex.cli import main
 from sic_simplex.sic_povm import (Fiducial, displacement_operators, wh_orbit,
-                                  wh_orbit_of_vector, frame_potential,
-                                  sic_residual, find_fiducial, build_sic,
+                                  frame_potential, sic_residual,
+                                  find_fiducial, build_sic,
                                   get_fiducial, qubit_tetrahedron_fiducial,
                                   fiducial_to_json, fiducial_from_json,
                                   load_catalog, save_catalog,
@@ -39,14 +44,14 @@ def test_orbit_vectors_are_unit_norm():
     for d in (2, 3, 5):
         psi = rng.normal(size=d) + 1j * rng.normal(size=d)
         psi /= np.linalg.norm(psi)
-        orbit = wh_orbit_of_vector(psi)
+        orbit = wh_orbit(psi)
         np.testing.assert_allclose(np.linalg.norm(orbit, axis=1), 1.0,
                                    atol=1e-12)
 
 
 def test_computational_basis_orbit_is_not_a_sic():
     # D_{0,1}|0> = Z|0> = |0>: the overlap 1 sits 2/3 away from 1/3
-    orbit = wh_orbit_of_vector(np.array([1.0, 0.0], dtype=complex))
+    orbit = wh_orbit(np.array([1.0, 0.0], dtype=complex))
     gram2 = np.abs(orbit.conj() @ orbit.T) ** 2
     off = gram2[~np.eye(4, dtype=bool)]
     assert np.max(off) > 0.999
@@ -57,7 +62,7 @@ def test_computational_basis_orbit_is_not_a_sic():
 def test_tetrahedron_fiducial_is_exact():
     fid = qubit_tetrahedron_fiducial()
     assert fid.residual < 1e-12
-    orbit = wh_orbit(fid)
+    orbit = wh_orbit(fid.psi)
     gram2 = np.abs(orbit.conj() @ orbit.T) ** 2
     off = gram2[~np.eye(4, dtype=bool)]
     np.testing.assert_allclose(off, 1.0 / 3.0, atol=1e-12)
@@ -82,10 +87,10 @@ def test_tetrahedron_effect_overlaps():
 
 
 def test_residual_and_potential_vanish_together():
-    exact = wh_orbit(qubit_tetrahedron_fiducial())
+    exact = wh_orbit(qubit_tetrahedron_fiducial().psi)
     assert frame_potential(exact) < 1e-25
     assert sic_residual(exact) < 1e-12
-    bad = wh_orbit_of_vector(np.array([1.0, 0.0], dtype=complex))
+    bad = wh_orbit(np.array([1.0, 0.0], dtype=complex))
     assert frame_potential(bad) > 0.0
     assert sic_residual(bad) > 0.0
 
@@ -127,7 +132,7 @@ def test_search_reports_failure_without_raising():
 
 def test_build_sic_refuses_bad_fiducial():
     basis = build_su_basis(2)
-    bad = Fiducial.from_vector(np.array([1.0, 0.0], dtype=complex))
+    bad = Fiducial(np.array([1.0, 0.0], dtype=complex))
     assert bad.residual > 0.5
     with pytest.raises(ValueError):
         build_sic(bad, basis)
@@ -135,7 +140,7 @@ def test_build_sic_refuses_bad_fiducial():
 
 def test_build_sic_refuses_nan_residual():
     fid = qubit_tetrahedron_fiducial()
-    fid.residual = float("nan")
+    fid.psi[1] = np.nan
     with pytest.raises(ValueError):
         build_sic(fid, build_su_basis(2))
 
@@ -216,8 +221,7 @@ def test_failed_catalog_write_keeps_previous_file(tmp_path):
     good = find_fiducial(3, seed=5, restarts=2)
     # an unserializable config makes json.dump fail after writing the
     # entries sorted before it
-    bad = Fiducial(d=4, psi=np.ones(4) / 2.0, residual=0.0,
-                   config={"x": object()})
+    bad = Fiducial(psi=np.ones(4) / 2.0, config={"x": object()})
     with pytest.raises(TypeError):
         save_catalog({3: good, 4: bad}, str(path))
     assert path.read_bytes() == before
@@ -265,3 +269,106 @@ def test_get_fiducial_ignores_corrupt_catalog(tmp_path):
         fh.write("{not json")
     fid = get_fiducial(3, seed=1, catalog_path=path)
     assert fid.residual < 1e-10
+
+
+def test_displacement_table_is_built_once_and_read_only():
+    ops = displacement_operators(4)
+    assert displacement_operators(4) is ops
+    with pytest.raises(ValueError):
+        ops[0, 0, 0] = 0.0
+
+
+def test_search_keeps_first_restart_when_every_residual_is_nan(monkeypatch):
+    monkeypatch.setattr(sic_povm, "_polish",
+                        lambda disp, psi, target: np.full_like(psi, np.nan))
+    fid = find_fiducial(3, seed=0, restarts=2)
+    assert fid.converged is False
+    assert np.isnan(fid.residual)
+    with pytest.raises(ValueError):
+        build_sic(fid, build_su_basis(3))
+    # the NaN residual is refused on output rather than crashing
+    assert main(["find-sic", "--d", "3", "--restarts", "2"]) == 2
+
+
+def _non_sic_entry():
+    # claims a perfect residual, but Z|0> = |0> puts an overlap 3/4 off 1/4
+    return {"d": 3, "psi": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]],
+            "residual": 0.0, "source": "search", "converged": True}
+
+
+def test_stored_residual_is_never_trusted(tmp_path):
+    entry = _non_sic_entry()
+    assert fiducial_from_json(entry).residual > 0.1
+    path = tmp_path / "cat.json"
+    path.write_text(json.dumps({"3": entry}))
+    fid = get_fiducial(3, seed=1, catalog_path=str(path))
+    assert fid.source == "search"
+    assert fid.residual < 1e-10
+    single = tmp_path / "fid.json"
+    single.write_text(json.dumps(entry))
+    assert main(["verify", "--d", "3", "--samples", "10",
+                 "--fiducial", str(single)]) != 0
+
+
+def test_get_fiducial_logs_refused_entry(tmp_path, caplog):
+    path = tmp_path / "cat.json"
+    path.write_text(json.dumps({"3": _non_sic_entry()}))
+    caplog.set_level(logging.DEBUG, logger="sic_simplex")
+    get_fiducial(3, seed=1, catalog_path=str(path))
+    [refused] = [r for r in caplog.records if r.levelno == logging.WARNING]
+    assert "d=3" in refused.getMessage()
+    assert "7.500e-01" in refused.getMessage()
+    caplog.clear()
+    get_fiducial(3, seed=1, catalog_path=str(path))  # the search was stored
+    assert [r.levelno for r in caplog.records] == [logging.DEBUG]
+    assert "hit" in caplog.records[0].getMessage()
+
+
+def test_get_fiducial_logs_corrupt_catalog(tmp_path, caplog):
+    path = tmp_path / "cat.json"
+    path.write_text("{not json")
+    with caplog.at_level(logging.WARNING, logger="sic_simplex"):
+        get_fiducial(3, seed=1, catalog_path=str(path))
+    [record] = [r for r in caplog.records if "unreadable" in r.getMessage()]
+    assert record.levelno == logging.WARNING
+    assert str(path) in record.getMessage()
+
+
+def test_record_fiducial_logs_failed_write(tmp_path, caplog):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    path = blocker / "cat.json"  # its directory is a regular file
+    with caplog.at_level(logging.WARNING, logger="sic_simplex"):
+        record_fiducial(qubit_tetrahedron_fiducial(), str(path))
+    [record] = caplog.records
+    assert record.levelno == logging.WARNING
+    assert str(path) in record.getMessage()
+
+
+def _unit_vector_entry(d, seed):
+    rng = np.random.default_rng(seed)
+    psi = rng.normal(size=d) + 1j * rng.normal(size=d)
+    psi /= np.linalg.norm(psi)
+    return {"d": d, "psi": [[float(z.real), float(z.imag)] for z in psi]}
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(2, 8), st.integers(0, 2 ** 32 - 1), st.data())
+def test_fiducial_json_rejects_nan_at_any_index(d, seed, data):
+    obj = _unit_vector_entry(d, seed)
+    k, part = data.draw(st.integers(0, d - 1)), data.draw(st.integers(0, 1))
+    obj["psi"][k][part] = float("nan")
+    with pytest.raises(ValueError):
+        fiducial_from_json(obj)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(2, 8), st.integers(0, 2 ** 32 - 1), st.data(),
+       st.floats(-2.0, 2.0))
+def test_fiducial_json_rejects_unnormalizing_entry(d, seed, data, value):
+    obj = _unit_vector_entry(d, seed)
+    k, part = data.draw(st.integers(0, d - 1)), data.draw(st.integers(0, 1))
+    obj["psi"][k][part] = value
+    assume(abs(np.linalg.norm(obj["psi"]) - 1.0) >= 1e-9)
+    with pytest.raises(ValueError):
+        fiducial_from_json(obj)
