@@ -239,9 +239,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("find-sic", help="search for a SIC fiducial")
     p.add_argument("--d", type=_dim, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--restarts", type=int,
+    p.add_argument("--restarts", type=int, metavar="N",
                    default=inspect.signature(find_fiducial)
-                   .parameters["restarts"].default)
+                   .parameters["restarts"].default,
+                   help="run at most N restarts; the first that meets the "
+                        "target residual ends the search (default: %(default)s)")
     p.add_argument("--target-residual", type=float,
                    default=DEFAULT_TARGET_RESIDUAL)
     p.add_argument("--out", default=None)

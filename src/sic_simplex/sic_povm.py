@@ -10,9 +10,12 @@ numerically by driving the frame potential
     sum_{i != j} (|<psi_i|psi_j>|^2 - 1/(d+1))^2
 
 to zero with a multi-start damped Gauss-Newton iteration on the unit
-sphere.  For d = 2 an exact fiducial (Bloch direction (1,1,1)/sqrt(3), the
-regular tetrahedron) is built in.  A fiducial's residual is always
-recomputed from its vector, never taken from storage.
+sphere.  Each restart stops once its worst deviation reaches the roundoff
+floor; the first restart that meets the target residual wins and ends the
+search, else the smallest residual wins.  For d = 2 an exact fiducial
+(Bloch direction (1,1,1)/sqrt(3), the regular tetrahedron) is built in.
+A fiducial's residual is always recomputed from its vector, never taken
+from storage.
 """
 
 import contextlib
@@ -20,6 +23,7 @@ import functools
 import json
 import logging
 import os
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,6 +34,9 @@ from .su_basis import SuBasis
 # fiducials worse than this are refused by build_sic
 MAX_BUILD_RESIDUAL = 1e-6
 DEFAULT_TARGET_RESIDUAL = 1e-10
+# a restart whose worst deviation max|w_D| is at or below this has nothing
+# left to gain: it sits at roundoff, four decades under the default target
+POLISH_FLOOR = 1e-14
 
 log = logging.getLogger("sic_simplex")
 
@@ -140,7 +147,11 @@ def qubit_tetrahedron_fiducial() -> Fiducial:
 # (proportional to the full frame potential on the orbit).  Each restart runs
 # a damped Gauss-Newton iteration on the deviation vector w straight from a
 # random start, renormalizing to the unit sphere after every step; near a
-# zero of phi it converges quadratically to the machine floor.
+# zero of phi it converges quadratically to the machine floor, and it stops
+# once max|w_D| <= POLISH_FLOOR.  max|w_D| is the orbit's sic_residual up to
+# roundoff, so a restart that stops there has already met the target.  The
+# restarts run one at a time: the first whose orbit residual meets the target
+# ends the search, and only when none does is the smallest residual kept.
 # ---------------------------------------------------------------------------
 
 def _deviations(disp: np.ndarray, psi: np.ndarray, target: float):
@@ -165,19 +176,21 @@ def _residuals_jacobian(disp, psi, target):
     return w, jac
 
 
-def _polish(disp, psi, target, max_iters=60):
+def _polish(disp, psi, target, max_iters=60, stats=None):
     """Damped Gauss-Newton on the deviation vector from the normalized start
     `psi`, with a halving line search on phi and the damping raised whenever
     no step decreases it.  Returns the final unit vector; the iteration
-    stops once phi < 1e-31 or after `max_iters` steps."""
+    stops once the worst deviation max|w_D| <= POLISH_FLOOR or after
+    `max_iters` steps.  A dict passed as `stats` receives the number of
+    Gauss-Newton iterations used and the final max|w_D|."""
     psi = psi / np.linalg.norm(psi)
     d = psi.shape[0]
     lam = 1e-12
-    for _ in range(max_iters):
+    for iters in range(max_iters):
         w, jac = _residuals_jacobian(disp, psi, target)
-        phi = float(np.sum(w ** 2))
-        if phi < 1e-31:
+        if np.max(np.abs(w)) <= POLISH_FLOOR:
             break
+        phi = float(np.sum(w ** 2))
         normal = jac.T @ jac + lam * np.eye(2 * d)
         try:
             dx = np.linalg.solve(normal, -jac.T @ w)
@@ -197,6 +210,12 @@ def _polish(disp, psi, target, max_iters=60):
             continue
         psi = cand
         lam = max(lam * 0.3, 1e-14)
+    else:
+        iters = max_iters
+    if stats is not None:
+        stats["iterations"] = iters
+        w = _deviations(disp, psi, target)[2]
+        stats["max_dev"] = float(np.max(np.abs(w)))
     return psi
 
 
@@ -204,11 +223,14 @@ def find_fiducial(d: int, seed: int = 0, restarts: int = 10,
                   target_residual: float = DEFAULT_TARGET_RESIDUAL) -> Fiducial:
     """Multi-start frame-potential minimization over unit vectors in C^d.
 
-    Each restart polishes one random complex Gaussian start (see `_polish`);
-    the one with the smallest orbit residual wins (ties by lowest restart
-    index), so the result is deterministic in (d, seed, restarts).  When even
-    the best residual misses `target_residual`, the fiducial is still
-    returned with `converged = False` rather than raising.
+    The restarts run one at a time, each polishing one random complex
+    Gaussian start (see `_polish`), and `restarts` is an upper bound: the
+    first restart whose orbit residual meets `target_residual` wins and ends
+    the search.  When none does, the smallest residual wins (ties by lowest
+    restart index, NaN last), and the fiducial is still returned with
+    `converged = False` rather than raising.  The result is deterministic in
+    (d, seed, restarts, target_residual).  With DEBUG enabled on the
+    "sic_simplex" logger, each restart logs one record.
     """
     if d < 2:
         raise ValueError(f"need d >= 2, got d={d}")
@@ -217,10 +239,30 @@ def find_fiducial(d: int, seed: int = 0, restarts: int = 10,
     rng = np.random.default_rng(seed)
     disp = displacement_operators(d)
     target = 1.0 / (d + 1.0)
-    psis = [_polish(disp[1:], rng.normal(size=d) + 1j * rng.normal(size=d),
-                    target) for _ in range(restarts)]
-    residuals = np.array([sic_residual(wh_orbit(psi)) for psi in psis])
-    # a NaN residual ranks last; when all are NaN the first restart stands
+    debug = log.isEnabledFor(logging.DEBUG)
+    psis, residuals = [], []
+    for restart in range(restarts):
+        start = rng.normal(size=d) + 1j * rng.normal(size=d)
+        if debug:
+            t0, stats = time.perf_counter(), {}
+            psi = _polish(disp[1:], start, target, stats=stats)
+        else:
+            psi = _polish(disp[1:], start, target)
+        psis.append(psi)
+        residuals.append(sic_residual(wh_orbit(psi)))
+        done = residuals[-1] <= target_residual
+        if debug:
+            log.debug("search restart d=%d restart=%d iterations=%d "
+                      "max_dev=%.3e residual=%.3e wall_ms=%.3f "
+                      "ended_search=%s",
+                      d, restart, stats["iterations"], stats["max_dev"],
+                      residuals[-1], 1e3 * (time.perf_counter() - t0), done)
+        if done:
+            break
+    # every earlier restart missed the target, so a converged last restart
+    # is also the smallest residual; NaN ranks last, and when all are NaN
+    # the first restart stands
+    residuals = np.array(residuals)
     best = int(np.argmin(np.where(np.isnan(residuals), np.inf, residuals)))
     config = {"restarts": restarts, "target_residual": target_residual}
     return Fiducial(psi=psis[best], source="search", seed=seed, config=config,
@@ -273,6 +315,8 @@ def fiducial_to_json(fid: Fiducial) -> dict:
 
 def fiducial_from_json(obj: dict) -> Fiducial:
     """Fiducial from a catalog entry; its "residual" field is not read."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"fiducial entry is not a JSON object: {obj!r:.40}")
     arr = np.array(obj["psi"], dtype=float)
     d = int(obj["d"])
     if arr.shape != (d, 2):
@@ -287,11 +331,16 @@ def fiducial_from_json(obj: dict) -> Fiducial:
 
 
 def load_catalog(path: str) -> dict:
-    """Mapping d -> Fiducial from a catalog file; empty if the file is absent."""
+    """Mapping d -> Fiducial from a catalog file; empty if the file is absent.
+
+    Raises ValueError when the file is JSON but not an object of entries."""
     if not os.path.exists(path):
         return {}
     with open(path) as fh:
         raw = json.load(fh)
+    if not isinstance(raw, dict):
+        raise ValueError(f"catalog is a JSON {type(raw).__name__}, "
+                         "not an object")
     return {int(k): fiducial_from_json(v) for k, v in raw.items()}
 
 
@@ -344,16 +393,20 @@ def get_fiducial(d: int, seed: int = 0,
                  catalog_path: str | None = None) -> Fiducial:
     """Resolve a fiducial: builtin (d = 2), then catalog, then fresh search.
 
-    A catalog entry is used only if its vector's orbit residual meets
-    `DEFAULT_TARGET_RESIDUAL`, else a new search runs and is persisted back
-    (best effort).  Catalog decisions go to the "sic_simplex" logger.
+    A catalog entry is used only if it has dimension d and its vector's
+    orbit residual meets `DEFAULT_TARGET_RESIDUAL`, else a new search runs
+    and is persisted back (best effort).  Catalog decisions go to the
+    "sic_simplex" logger.
     """
     if d == 2:
         return qubit_tetrahedron_fiducial()
     path = catalog_path or default_catalog_path()
     catalog = _load_catalog_or_empty(path)
     cached = catalog.get(d)
-    if cached is not None:
+    if cached is not None and cached.d != d:
+        log.warning("refused catalog entry for d=%d: it holds a d=%d vector",
+                    d, cached.d)
+    elif cached is not None:
         res = cached.residual
         if res <= DEFAULT_TARGET_RESIDUAL:
             log.debug("catalog hit for d=%d in %s", d, path)

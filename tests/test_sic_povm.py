@@ -372,3 +372,97 @@ def test_fiducial_json_rejects_unnormalizing_entry(d, seed, data, value):
     assume(abs(np.linalg.norm(obj["psi"]) - 1.0) >= 1e-9)
     with pytest.raises(ValueError):
         fiducial_from_json(obj)
+
+
+def _count_calls(monkeypatch, name):
+    calls = []
+    inner = getattr(sic_povm, name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(sic_povm, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("d", [5, 6, 7])
+def test_search_stops_at_the_roundoff_floor(d, monkeypatch):
+    # ten restarts of 60 Gauss-Newton steps each would take 600 Jacobians
+    calls = _count_calls(monkeypatch, "_residuals_jacobian")
+    fid = find_fiducial(d, seed=1)
+    assert fid.converged
+    assert len(calls) < 60
+
+
+def test_first_converged_restart_ends_the_search(monkeypatch):
+    calls = _count_calls(monkeypatch, "_polish")
+    fid = find_fiducial(5, seed=1)
+    assert fid.converged
+    assert fid.residual <= sic_povm.DEFAULT_TARGET_RESIDUAL
+    assert len(calls) == 1
+
+
+def test_unmet_target_runs_every_restart(monkeypatch):
+    calls = _count_calls(monkeypatch, "_polish")
+    fid = find_fiducial(3, seed=0, restarts=2, target_residual=1e-20)
+    assert fid.converged is False
+    assert len(calls) == 2
+
+
+def _restart_records(caplog):
+    out = []
+    for r in caplog.records:
+        if r.getMessage().startswith("search restart"):
+            out.append(dict(kv.split("=") for kv in r.getMessage().split()[2:]))
+    return out
+
+
+def test_search_logs_one_record_per_restart(caplog):
+    caplog.set_level(logging.DEBUG, logger="sic_simplex")
+    find_fiducial(5, seed=1)
+    [winner] = _restart_records(caplog)
+    assert winner["d"] == "5"
+    assert winner["restart"] == "0"
+    assert int(winner["iterations"]) < 60
+    assert float(winner["max_dev"]) <= sic_povm.POLISH_FLOOR
+    assert float(winner["residual"]) <= sic_povm.DEFAULT_TARGET_RESIDUAL
+    assert float(winner["wall_ms"]) > 0.0
+    assert winner["ended_search"] == "True"
+    caplog.clear()
+    find_fiducial(3, seed=0, restarts=2, target_residual=1e-20)
+    records = _restart_records(caplog)
+    assert [r["restart"] for r in records] == ["0", "1"]
+    assert [r["ended_search"] for r in records] == ["False", "False"]
+
+
+@pytest.mark.parametrize("text", ['[1, 2]', '{"3": [1, 2]}'])
+def test_non_object_catalog_is_treated_as_empty(text, tmp_path, monkeypatch,
+                                                caplog):
+    path = tmp_path / "cat.json"
+    path.write_text(text)
+    with pytest.raises(ValueError):
+        load_catalog(str(path))
+    with caplog.at_level(logging.WARNING, logger="sic_simplex"):
+        fid = get_fiducial(3, seed=1, catalog_path=str(path))
+    assert fid.converged
+    assert any("unreadable" in r.getMessage() for r in caplog.records)
+    path.write_text(text)
+    monkeypatch.setenv("SIC_SIMPLEX_CATALOG", str(path))
+    assert main(["verify", "--d", "3", "--samples", "10"]) == 0
+
+
+def test_catalog_entry_under_the_wrong_key_is_refused(tmp_path, monkeypatch,
+                                                      caplog):
+    entry = fiducial_to_json(find_fiducial(3, seed=1))
+    path = tmp_path / "cat.json"
+    path.write_text(json.dumps({"4": entry}))
+    with caplog.at_level(logging.WARNING, logger="sic_simplex"):
+        fid = get_fiducial(4, seed=1, catalog_path=str(path))
+    assert fid.d == 4 and fid.source == "search"
+    [refused] = [r for r in caplog.records if r.levelno == logging.WARNING]
+    assert "d=4" in refused.getMessage() and "d=3" in refused.getMessage()
+    assert load_catalog(str(path))[4].d == 4  # the search replaced it
+    path.write_text(json.dumps({"4": entry}))
+    monkeypatch.setenv("SIC_SIMPLEX_CATALOG", str(path))
+    assert main(["verify", "--d", "4", "--samples", "10"]) == 0
