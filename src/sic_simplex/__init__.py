@@ -17,8 +17,8 @@ from .bloch import (from_bloch, to_bloch, is_state, is_pure,
                     random_density_matrix, random_pure_state,
                     validate_density_matrix)
 from .sic_povm import (Fiducial, SicPovm, displacement_operators, wh_orbit,
-                       frame_potential, sic_residual, find_fiducial,
-                       build_sic, get_fiducial, qubit_tetrahedron_fiducial)
+                       sic_residual, find_fiducial, build_sic, get_fiducial,
+                       qubit_tetrahedron_fiducial)
 from .state_simplex import (QuantumSimplexContext, GeometryReport,
                             build_context, state_to_probabilities,
                             probabilities_to_point, point_to_state,
@@ -37,7 +37,7 @@ __all__ = [
     "from_bloch", "to_bloch", "is_state", "is_pure", "random_density_matrix",
     "random_pure_state", "validate_density_matrix",
     "Fiducial", "SicPovm", "displacement_operators", "wh_orbit",
-    "frame_potential", "sic_residual", "find_fiducial", "build_sic",
+    "sic_residual", "find_fiducial", "build_sic",
     "get_fiducial", "qubit_tetrahedron_fiducial",
     "QuantumSimplexContext", "GeometryReport", "build_context",
     "state_to_probabilities", "probabilities_to_point", "point_to_state",

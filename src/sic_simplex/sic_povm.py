@@ -9,7 +9,7 @@ numerically by driving the frame potential
 
     sum_{i != j} (|<psi_i|psi_j>|^2 - 1/(d+1))^2
 
-to zero with a multi-start damped Gauss-Newton iteration on the unit
+to zero with a multi-start Gauss-Newton iteration on the unit
 sphere.  Each restart stops once its worst deviation reaches the roundoff
 floor; the first restart that meets the target residual wins and ends the
 search, else the smallest residual wins.  For d = 2 an exact fiducial
@@ -37,6 +37,11 @@ DEFAULT_TARGET_RESIDUAL = 1e-10
 # a restart whose worst deviation max|w_D| is at or below this has nothing
 # left to gain: it sits at roundoff, four decades under the default target
 POLISH_FLOOR = 1e-14
+# Gauss-Newton steps a restart may take before it ends short of the floor
+MAX_POLISH_STEPS = 60
+# ridge on the normal equations: the global phase is a null direction of
+# the Jacobian, so J^T J alone is singular
+_RIDGE = 1e-12
 
 log = logging.getLogger("sic_simplex")
 
@@ -105,22 +110,12 @@ def wh_orbit(psi: np.ndarray) -> np.ndarray:
     return np.einsum('aij,j->ai', displacement_operators(psi.shape[0]), psi)
 
 
-def _overlap_deviations(orbit: np.ndarray) -> np.ndarray:
-    n, d = orbit.shape
-    gram = orbit.conj() @ orbit.T
-    overlaps = np.abs(gram) ** 2
-    off = ~np.eye(n, dtype=bool)
-    return overlaps[off] - 1.0 / (d + 1.0)
-
-
-def frame_potential(orbit: np.ndarray) -> float:
-    """Sum of squared overlap deviations over all ordered pairs i != j."""
-    return float(np.sum(_overlap_deviations(orbit) ** 2))
-
-
 def sic_residual(orbit: np.ndarray) -> float:
     """Worst overlap deviation max_{i != j} | |<psi_i|psi_j>|^2 - 1/(d+1) |."""
-    return float(np.max(np.abs(_overlap_deviations(orbit))))
+    n, d = orbit.shape
+    overlaps = np.abs(orbit.conj() @ orbit.T) ** 2
+    off = ~np.eye(n, dtype=bool)
+    return float(np.max(np.abs(overlaps[off] - 1.0 / (d + 1.0))))
 
 
 def qubit_tetrahedron_fiducial() -> Fiducial:
@@ -145,7 +140,7 @@ def qubit_tetrahedron_fiducial() -> Fiducial:
 #     phi(psi) = sum_{D != I} w_D^2,   w_D = |<psi|D|psi>|^2 - 1/(d+1)
 #
 # (proportional to the full frame potential on the orbit).  Each restart runs
-# a damped Gauss-Newton iteration on the deviation vector w straight from a
+# a plain Gauss-Newton iteration on the deviation vector w straight from a
 # random start, renormalizing to the unit sphere after every step; near a
 # zero of phi it converges quadratically to the machine floor, and it stops
 # once max|w_D| <= POLISH_FLOOR.  max|w_D| is the orbit's sic_residual up to
@@ -163,60 +158,46 @@ def _deviations(disp: np.ndarray, psi: np.ndarray, target: float):
 
 
 def _residuals_jacobian(disp, psi, target):
-    """Deviation vector w and its Jacobian wrt (Re psi, Im psi) at unit psi,
-    with the radial direction projected out of the derivative."""
+    """Deviation vector w and its Jacobian 2 [Re h, Im h] wrt
+    (Re psi, Im psi), where h_D = dw_D/dpsi*."""
     d_psi, c, w = _deviations(disp, psi, target)
     ddag_psi = np.einsum('aji,j->ai', disp.conj(), psi)
-    h = c.conj()[:, None] * d_psi + c[:, None] * ddag_psi  # dw_a/dpsi*
-    radial = np.real(np.einsum('ai,i->a', h.conj(), psi))
-    d = psi.shape[0]
-    jac = np.empty((w.shape[0], 2 * d))
-    jac[:, :d] = 2.0 * h.real - 2.0 * radial[:, None] * psi.real[None, :]
-    jac[:, d:] = 2.0 * h.imag - 2.0 * radial[:, None] * psi.imag[None, :]
-    return w, jac
+    h = c.conj()[:, None] * d_psi + c[:, None] * ddag_psi
+    return w, 2.0 * np.hstack([h.real, h.imag])
 
 
-def _polish(disp, psi, target, max_iters=60, stats=None):
-    """Damped Gauss-Newton on the deviation vector from the normalized start
-    `psi`, with a halving line search on phi and the damping raised whenever
-    no step decreases it.  Returns the final unit vector; the iteration
-    stops once the worst deviation max|w_D| <= POLISH_FLOOR or after
-    `max_iters` steps.  A dict passed as `stats` receives the number of
-    Gauss-Newton iterations used and the final max|w_D|."""
+def _polish(disp, psi, target):
+    """Gauss-Newton on the deviation vector from the normalized start `psi`:
+    each step solves (J^T J + _RIDGE I) dx = -J^T w and takes the first of
+    30 halvings of dx that decreases phi, renormalized.  Ends once max|w_D|
+    <= POLISH_FLOOR, after MAX_POLISH_STEPS steps, when no halving helps or
+    when the solve fails.  Returns (psi, steps taken, final max|w_D|)."""
     psi = psi / np.linalg.norm(psi)
     d = psi.shape[0]
-    lam = 1e-12
-    for iters in range(max_iters):
+    for iters in range(MAX_POLISH_STEPS):
         w, jac = _residuals_jacobian(disp, psi, target)
         if np.max(np.abs(w)) <= POLISH_FLOOR:
             break
         phi = float(np.sum(w ** 2))
-        normal = jac.T @ jac + lam * np.eye(2 * d)
         try:
-            dx = np.linalg.solve(normal, -jac.T @ w)
+            dx = np.linalg.solve(jac.T @ jac + _RIDGE * np.eye(2 * d),
+                                 -jac.T @ w)
         except np.linalg.LinAlgError:
-            lam *= 10.0
-            continue
+            break
         step = dx[:d] + 1j * dx[d:]
         for _ in range(30):
             cand = psi + step
             cand /= np.linalg.norm(cand)
-            phi_c = float(np.sum(_deviations(disp, cand, target)[2] ** 2))
-            if phi_c < phi:
+            if np.sum(_deviations(disp, cand, target)[2] ** 2) < phi:
                 break
             step *= 0.5
         else:
-            lam *= 10.0
-            continue
+            break
         psi = cand
-        lam = max(lam * 0.3, 1e-14)
     else:
-        iters = max_iters
-    if stats is not None:
-        stats["iterations"] = iters
-        w = _deviations(disp, psi, target)[2]
-        stats["max_dev"] = float(np.max(np.abs(w)))
-    return psi
+        iters = MAX_POLISH_STEPS
+    w = _deviations(disp, psi, target)[2]
+    return psi, iters, float(np.max(np.abs(w)))
 
 
 def find_fiducial(d: int, seed: int = 0, restarts: int = 10,
@@ -229,8 +210,8 @@ def find_fiducial(d: int, seed: int = 0, restarts: int = 10,
     the search.  When none does, the smallest residual wins (ties by lowest
     restart index, NaN last), and the fiducial is still returned with
     `converged = False` rather than raising.  The result is deterministic in
-    (d, seed, restarts, target_residual).  With DEBUG enabled on the
-    "sic_simplex" logger, each restart logs one record.
+    (d, seed, restarts, target_residual).  Each restart logs one DEBUG
+    record on the "sic_simplex" logger.
     """
     if d < 2:
         raise ValueError(f"need d >= 2, got d={d}")
@@ -239,24 +220,18 @@ def find_fiducial(d: int, seed: int = 0, restarts: int = 10,
     rng = np.random.default_rng(seed)
     disp = displacement_operators(d)
     target = 1.0 / (d + 1.0)
-    debug = log.isEnabledFor(logging.DEBUG)
     psis, residuals = [], []
     for restart in range(restarts):
         start = rng.normal(size=d) + 1j * rng.normal(size=d)
-        if debug:
-            t0, stats = time.perf_counter(), {}
-            psi = _polish(disp[1:], start, target, stats=stats)
-        else:
-            psi = _polish(disp[1:], start, target)
+        t0 = time.perf_counter()
+        psi, iterations, max_dev = _polish(disp[1:], start, target)
         psis.append(psi)
         residuals.append(sic_residual(wh_orbit(psi)))
         done = residuals[-1] <= target_residual
-        if debug:
-            log.debug("search restart d=%d restart=%d iterations=%d "
-                      "max_dev=%.3e residual=%.3e wall_ms=%.3f "
-                      "ended_search=%s",
-                      d, restart, stats["iterations"], stats["max_dev"],
-                      residuals[-1], 1e3 * (time.perf_counter() - t0), done)
+        log.debug("search restart d=%d restart=%d iterations=%d "
+                  "max_dev=%.3e residual=%.3e wall_ms=%.3f ended_search=%s",
+                  d, restart, iterations, max_dev, residuals[-1],
+                  1e3 * (time.perf_counter() - t0), done)
         if done:
             break
     # every earlier restart missed the target, so a converged last restart
@@ -331,13 +306,17 @@ def fiducial_from_json(obj: dict) -> Fiducial:
 
 
 def load_catalog(path: str) -> dict:
-    """Mapping d -> Fiducial from a catalog file; empty if the file is absent.
+    """Mapping d -> Fiducial from a catalog file; empty if the file is
+    absent, empty or only whitespace.
 
     Raises ValueError when the file is JSON but not an object of entries."""
     if not os.path.exists(path):
         return {}
     with open(path) as fh:
-        raw = json.load(fh)
+        text = fh.read()
+    if not text.strip():
+        return {}
+    raw = json.loads(text)
     if not isinstance(raw, dict):
         raise ValueError(f"catalog is a JSON {type(raw).__name__}, "
                          "not an object")

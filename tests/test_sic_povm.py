@@ -1,5 +1,6 @@
 import json
 import logging
+import unittest
 
 import numpy as np
 import pytest
@@ -10,8 +11,7 @@ from sic_simplex import sic_povm
 from sic_simplex.bloch import is_pure
 from sic_simplex.cli import main
 from sic_simplex.sic_povm import (Fiducial, displacement_operators, wh_orbit,
-                                  frame_potential, sic_residual,
-                                  find_fiducial, build_sic,
+                                  sic_residual, find_fiducial, build_sic,
                                   get_fiducial, qubit_tetrahedron_fiducial,
                                   fiducial_to_json, fiducial_from_json,
                                   load_catalog, save_catalog,
@@ -56,7 +56,6 @@ def test_computational_basis_orbit_is_not_a_sic():
     off = gram2[~np.eye(4, dtype=bool)]
     assert np.max(off) > 0.999
     assert abs(sic_residual(orbit) - 2.0 / 3.0) < 1e-12
-    assert frame_potential(orbit) > 0.1
 
 
 def test_tetrahedron_fiducial_is_exact():
@@ -88,10 +87,8 @@ def test_tetrahedron_effect_overlaps():
 
 def test_residual_and_potential_vanish_together():
     exact = wh_orbit(qubit_tetrahedron_fiducial().psi)
-    assert frame_potential(exact) < 1e-25
     assert sic_residual(exact) < 1e-12
     bad = wh_orbit(np.array([1.0, 0.0], dtype=complex))
-    assert frame_potential(bad) > 0.0
     assert sic_residual(bad) > 0.0
 
 
@@ -148,6 +145,16 @@ def test_build_sic_refuses_nan_residual():
 def test_build_sic_dimension_mismatch():
     with pytest.raises(ValueError):
         build_sic(qubit_tetrahedron_fiducial(), build_su_basis(3))
+
+
+@settings(max_examples=50, deadline=None)
+@given(d=st.integers(2, 5), d_fid=st.integers(2, 5))
+def test_build_sic_refuses_a_fiducial_of_another_dimension(d, d_fid,
+                                                           contexts):
+    # a true SIC fiducial, so only the dimension check can refuse it
+    assume(d_fid != d)
+    with pytest.raises(ValueError, match="dimension"):
+        build_sic(contexts[d_fid].sic.fiducial, contexts[d].basis)
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
@@ -280,7 +287,8 @@ def test_displacement_table_is_built_once_and_read_only():
 
 def test_search_keeps_first_restart_when_every_residual_is_nan(monkeypatch):
     monkeypatch.setattr(sic_povm, "_polish",
-                        lambda disp, psi, target: np.full_like(psi, np.nan))
+                        lambda disp, psi, target:
+                        (np.full_like(psi, np.nan), 0, np.nan))
     fid = find_fiducial(3, seed=0, restarts=2)
     assert fid.converged is False
     assert np.isnan(fid.residual)
@@ -466,3 +474,40 @@ def test_catalog_entry_under_the_wrong_key_is_refused(tmp_path, monkeypatch,
     path.write_text(json.dumps({"4": entry}))
     monkeypatch.setenv("SIC_SIMPLEX_CATALOG", str(path))
     assert main(["verify", "--d", "4", "--samples", "10"]) == 0
+
+
+@settings(max_examples=20, deadline=None)
+@given(d=st.integers(3, 6), d_entry=st.integers(2, 5))
+def test_catalog_entry_of_another_dimension_is_refused(d, d_entry, contexts,
+                                                       tmp_path_factory):
+    # a true SIC fiducial, so only the dimension check can refuse it
+    assume(d_entry != d)
+    path = tmp_path_factory.mktemp("catalog") / "cat.json"
+    path.write_text(json.dumps(
+        {str(d): fiducial_to_json(contexts[d_entry].sic.fiducial)}))
+    with unittest.TestCase().assertLogs("sic_simplex", "WARNING") as logs:
+        fid = get_fiducial(d, seed=1, catalog_path=str(path))
+    assert fid.d == d and fid.source == "search"
+    [refused] = logs.records
+    assert f"d={d}:" in refused.getMessage()
+    assert f"d={d_entry} vector" in refused.getMessage()
+    assert load_catalog(str(path))[d].d == d
+
+
+@pytest.mark.parametrize("text", ["", " \n\t\n"])
+def test_empty_catalog_file_is_a_catalog_with_no_entries(text, tmp_path,
+                                                        caplog):
+    path = tmp_path / "cat.json"
+    path.write_text(text)
+    assert load_catalog(str(path)) == {}
+    with caplog.at_level(logging.WARNING, logger="sic_simplex"):
+        fid = get_fiducial(3, seed=1, catalog_path=str(path))
+    assert not [r for r in caplog.records if r.levelno >= logging.WARNING]
+    assert fid.converged
+    assert "3" in json.loads(path.read_text())
+
+
+@pytest.mark.parametrize("seed", range(10))
+@pytest.mark.parametrize("d", range(3, 11))
+def test_search_converges(d, seed):
+    assert find_fiducial(d, seed=seed).converged

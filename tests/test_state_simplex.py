@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from sic_simplex import bloch
 from sic_simplex.simplex_geometry import facet_distance, to_probabilities
@@ -327,3 +329,16 @@ def test_build_context_with_explicit_fiducial(contexts):
     ctx = build_context(2, fiducial=qubit_tetrahedron_fiducial())
     assert ctx.sic.fiducial.source == "builtin"
     assert verify_b_equals_q(ctx, samples=20, seed=0) < 1e-12
+
+
+@settings(max_examples=50, deadline=None)
+@given(d=st.integers(2, 5), d_state=st.integers(2, 7),
+       size=st.sampled_from([None, 3]), seed=st.integers(0, 2 ** 32 - 1))
+def test_maps_refuse_a_state_of_another_dimension(d, d_state, size, seed,
+                                                   contexts):
+    assume(d_state != d)
+    rho = bloch.random_density_matrix(d_state, seed, size=size)
+    with pytest.raises(ValueError, match=f"expected {d}x{d}"):
+        bloch.to_bloch(rho, contexts[d].basis)
+    with pytest.raises(ValueError, match=f"expected {d}x{d}"):
+        state_to_probabilities(rho, contexts[d])
