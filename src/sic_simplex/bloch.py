@@ -95,16 +95,25 @@ def is_pure(r: np.ndarray, sc: StructureConstants, tol: float = PURITY_TOL) -> b
     """Pure-state test on the Bloch vector itself.
 
     True iff |r|^2 = (d-1)/(d+1) and r * r = (d-2) sqrt(2/(d(d+1))) r, both
-    within `tol`.  For d = 2 the star-product condition holds trivially
-    (dsym vanishes and the prefactor is zero); it is evaluated anyway to
-    keep one code path.
+    within `tol`.  The norm is tested first, and a vector that fails it (NaN
+    included) is refused without forming the star product.  For d = 2 the
+    star-product condition holds trivially (dsym vanishes and the prefactor
+    is zero).
+
+    Raises
+    ------
+    ValueError
+        If r is not a vector of length d**2 - 1.
     """
     d = sc.d
     r = np.asarray(r, dtype=float)
-    norm_defect = abs(r @ r - (d - 1.0) / (d + 1.0))
+    if r.shape != (d * d - 1,):
+        raise ValueError(f"expected Bloch vector of length {d * d - 1}, got {r.shape}")
+    if not abs(r @ r - (d - 1.0) / (d + 1.0)) <= tol:
+        return False
     star_defect = np.linalg.norm(
         star_product(r, r, sc) - (d - 2.0) * np.sqrt(2.0 / (d * (d + 1.0))) * r)
-    return bool(norm_defect <= tol and star_defect <= tol)
+    return bool(star_defect <= tol)
 
 
 def _stack(size: int | None) -> tuple:

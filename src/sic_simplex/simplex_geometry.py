@@ -79,16 +79,24 @@ def to_probabilities(s: np.ndarray, frame: SimplexFrame):
     """Recover p_i = (s . t_i + 1) / (n+1) from a point s.
 
     Returns (p, inside): the full vector is always returned, and `inside`
-    flags whether every p_i lies in [0, 1] within `MEMBERSHIP_TOL`.  Points
-    outside the simplex are flagged, never raised, so callers can classify
-    them.
+    flags whether min p and max p lie in [0, 1] within `MEMBERSHIP_TOL`.
+    Finite points outside the simplex are flagged, never raised, so callers
+    can classify them.
+
+    Raises
+    ------
+    ValueError
+        If s has the wrong length or p is not finite; a NaN or infinite
+        coordinate of s always makes p non-finite.
     """
     s = np.asarray(s, dtype=float)
     if s.shape != (frame.n,):
         raise ValueError(f"expected point of length {frame.n}, got {s.shape}")
     p = (frame.vertices @ s + 1.0) / (frame.n + 1.0)
-    inside = bool(np.all(p >= -MEMBERSHIP_TOL)
-                  and np.all(p <= 1.0 + MEMBERSHIP_TOL))
+    lo, hi = p.min(), p.max()
+    if not (np.isfinite(lo) and np.isfinite(hi)):
+        raise ValueError("recovered probabilities are not finite")
+    inside = bool(lo >= -MEMBERSHIP_TOL and hi <= 1.0 + MEMBERSHIP_TOL)
     return p, inside
 
 

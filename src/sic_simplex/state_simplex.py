@@ -172,7 +172,8 @@ def classify_point(s: np.ndarray, ctx: QuantumSimplexContext) -> str:
     Tests run cheapest-and-tightest first: simplex membership (recovered
     probabilities in [0, 1] within `MEMBERSHIP_TOL`), then positivity of the
     candidate matrix (`PSD_TOL`), then purity of its Bloch vector
-    (`PURITY_TOL`).
+    (`PURITY_TOL`; the star product is formed only on the pure sphere).  A
+    point with a NaN or infinite coordinate raises ValueError.
     """
     s = np.asarray(s, dtype=float)
     _, inside = simplex_geometry.to_probabilities(s, ctx.frame)

@@ -21,4 +21,4 @@ def isolated_catalog(tmp_path_factory):
 @pytest.fixture(scope="session")
 def contexts():
     """One context per dimension; the d >= 3 fiducial searches run once."""
-    return {d: build_context(d, seed=1) for d in (2, 3, 4, 5)}
+    return {d: build_context(d, seed=1) for d in (2, 3, 4, 5, 6)}

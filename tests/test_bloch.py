@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sic_simplex import bloch
 from sic_simplex.bloch import (from_bloch, to_bloch, is_state, is_pure,
                                random_density_matrix, random_pure_state,
                                validate_density_matrix, state_to_json,
@@ -148,6 +149,32 @@ def test_is_pure_on_qubit_sphere():
 def test_origin_is_not_pure():
     assert not is_pure(np.zeros(3), SCS[2])
     assert not is_pure(np.zeros(8), SCS[3])
+
+
+def test_is_pure_refuses_wrong_length_and_nan():
+    with pytest.raises(ValueError):
+        is_pure(np.zeros(7), SCS[3])
+    with pytest.raises(ValueError):
+        is_pure(np.zeros((1, 8)), SCS[3])
+    r = to_bloch(random_pure_state(3, 9), BASES[3])
+    r[4] = np.nan
+    assert not is_pure(r, SCS[3])
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_is_pure_forms_star_product_only_past_norm_test(d, monkeypatch):
+    calls = []
+    real = bloch.star_product
+
+    def counting(r1, r2, sc):
+        calls.append(d)
+        return real(r1, r2, sc)
+
+    monkeypatch.setattr(bloch, "star_product", counting)
+    assert not is_pure(to_bloch(random_density_matrix(d, 3), BASES[d]), SCS[d])
+    assert calls == []
+    assert is_pure(to_bloch(random_pure_state(d, 3), BASES[d]), SCS[d])
+    assert calls == [d]
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5])

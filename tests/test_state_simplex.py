@@ -4,7 +4,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sic_simplex import bloch
-from sic_simplex.simplex_geometry import facet_distance, to_probabilities
+from sic_simplex.bloch import PSD_TOL, PURITY_TOL
+from sic_simplex.simplex_geometry import (MEMBERSHIP_TOL, facet_distance,
+                                          to_probabilities)
 from sic_simplex.state_simplex import (OUTSIDE_SIMPLEX, IN_SIMPLEX_NOT_STATE,
                                        MIXED_STATE, PURE_STATE, build_context,
                                        classify_point, find_nonstate_sphere_point,
@@ -249,6 +251,62 @@ def test_nonstate_sphere_points_exist(d, contexts):
     _, min_eig = bloch.is_state(s, ctx.basis)
     assert min_eig < -1e-6
     assert classify_point(s, ctx) == IN_SIMPLEX_NOT_STATE
+
+
+def _oracle_label(s, ctx):
+    """classify_point's label from dense, unoptimized formulas."""
+    d, n = ctx.d, ctx.frame.n
+    p = (ctx.frame.vertices @ s + 1.0) / (n + 1.0)
+    if not (np.all(p >= -MEMBERSHIP_TOL) and np.all(p <= 1.0 + MEMBERSHIP_TOL)):
+        return OUTSIDE_SIMPLEX
+    rho = (np.eye(d) / d + np.sqrt((d + 1.0) / (2.0 * d))
+           * np.einsum('a,aij->ij', s, ctx.basis.matrices))
+    if np.linalg.eigvalsh(rho)[0] < -PSD_TOL:
+        return IN_SIMPLEX_NOT_STATE
+    star = np.einsum('abc,a,b->c', ctx.sc.dsym, s, s)
+    star_defect = np.linalg.norm(
+        star - (d - 2.0) * np.sqrt(2.0 / (d * (d + 1.0))) * s)
+    norm_defect = abs(s @ s - (d - 1.0) / (d + 1.0))
+    if norm_defect <= PURITY_TOL and star_defect <= PURITY_TOL:
+        return PURE_STATE
+    return MIXED_STATE
+
+
+@pytest.mark.parametrize("d", [3, 4, 5, 6])
+def test_classify_matches_dense_oracle(d, contexts):
+    ctx = contexts[d]
+    rng = np.random.default_rng(70 + d)
+    n, k = d * d - 1, 40
+    units = rng.normal(size=(2 * k, n))
+    units /= np.linalg.norm(units, axis=1, keepdims=True)
+    points = np.vstack([
+        bloch.to_bloch(bloch.random_pure_state(d, rng, size=k), ctx.basis),
+        bloch.to_bloch(bloch.random_density_matrix(d, rng, size=k), ctx.basis),
+        np.sqrt((d - 1.0) / (d + 1.0)) * units[:k],
+        np.sqrt(n) * rng.uniform(1.01, 1.5, size=(k, 1)) * units[k:],
+        ctx.frame.vertices[:8],
+    ])
+    labels = [classify_point(s, ctx) for s in points]
+    assert labels == [_oracle_label(s, ctx) for s in points]
+    # every label occurs, so each branch of the oracle was compared
+    assert set(labels) == {PURE_STATE, MIXED_STATE, OUTSIDE_SIMPLEX,
+                           IN_SIMPLEX_NOT_STATE}
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@settings(max_examples=50, deadline=None)
+@given(d=st.integers(2, 5), data=st.data(),
+       bad=st.sampled_from([np.nan, np.inf, -np.inf]))
+def test_non_finite_points_are_refused(d, data, bad, contexts):
+    ctx = contexts[d]
+    n = d * d - 1
+    s = np.array(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=n,
+                                    max_size=n)))
+    s[data.draw(st.integers(0, n - 1))] = bad
+    with pytest.raises(ValueError, match="not finite"):
+        to_probabilities(s, ctx.frame)
+    with pytest.raises(ValueError, match="not finite"):
+        classify_point(s, ctx)
 
 
 def test_no_nonstate_sphere_point_for_qubits(contexts):

@@ -1,9 +1,10 @@
+import dataclasses
 import itertools
 
 import numpy as np
 import pytest
 
-from sic_simplex.su_basis import (build_su_basis, structure_constants,
+from sic_simplex.su_basis import (SuBasis, build_su_basis, structure_constants,
                                   star_product)
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -183,14 +184,53 @@ def test_star_product_symmetric_in_arguments():
                                star_product(r2, r1, sc), atol=1e-13)
 
 
-@pytest.mark.parametrize("d", [2, 3, 4, 5])
-def test_star_product_matches_dense_contraction(d):
-    sc = structure_constants(build_su_basis(d))
-    rng = np.random.default_rng(40 + d)
+def _reordered(basis, perm=None, rotation=None):
+    """The same su(d) basis with its matrices permuted, or mixed by an
+    orthogonal matrix (which keeps Tr(sigma_a sigma_b) = 2 delta_ab)."""
+    mats = basis.matrices
+    if perm is not None:
+        mats = mats[perm]
+    if rotation is not None:
+        mats = np.einsum('ab,bij->aij', rotation, mats)
+    return SuBasis(d=basis.d, matrices=mats)
+
+
+def _assert_star_product_matches_dense(sc, rng):
+    m = sc.d * sc.d - 1
     for _ in range(10):
-        r1, r2 = rng.normal(size=(2, d * d - 1))
+        r1, r2 = rng.normal(size=(2, m))
         expected = np.einsum('abc,a,b->c', sc.dsym, r1, r2)
         assert np.max(np.abs(star_product(r1, r2, sc) - expected)) < 1e-13
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 7, 8])
+def test_star_product_matches_dense_contraction(d):
+    sc = structure_constants(build_su_basis(d))
+    _assert_star_product_matches_dense(sc, np.random.default_rng(40 + d))
+
+
+@pytest.mark.parametrize("order", ["shuffled", "rotated"])
+@pytest.mark.parametrize("d", [2, 3, 5, 8])
+def test_star_product_matches_dense_contraction_in_other_bases(d, order):
+    rng = np.random.default_rng(50 + d)
+    m = d * d - 1
+    basis = build_su_basis(d)
+    if order == "shuffled":
+        basis = _reordered(basis, perm=rng.permutation(m))
+    else:
+        # a dense dsym: the sparse sum must still be exact
+        basis = _reordered(basis, rotation=np.linalg.qr(rng.normal(size=(m, m)))[0])
+    _assert_star_product_matches_dense(structure_constants(basis), rng)
+
+
+def test_structure_constants_are_frozen_and_read_only():
+    sc = structure_constants(build_su_basis(3))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        sc.dsym = np.zeros_like(sc.dsym)
+    with pytest.raises(ValueError):
+        sc.dsym[0, 0, 0] = 1.0
+    with pytest.raises(ValueError):
+        sc.f[0, 0, 0] = 1.0
 
 
 def test_star_product_length_mismatch():
