@@ -188,15 +188,16 @@ def _polish(disp, psi, target):
         for _ in range(30):
             cand = psi + step
             cand /= np.linalg.norm(cand)
-            if np.sum(_deviations(disp, cand, target)[2] ** 2) < phi:
+            w_cand = _deviations(disp, cand, target)[2]
+            if np.sum(w_cand ** 2) < phi:
                 break
             step *= 0.5
         else:
             break
-        psi = cand
+        psi, w = cand, w_cand
     else:
         iters = MAX_POLISH_STEPS
-    w = _deviations(disp, psi, target)[2]
+    # w is the deviation vector of psi on every exit
     return psi, iters, float(np.max(np.abs(w)))
 
 

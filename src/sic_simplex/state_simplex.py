@@ -76,7 +76,13 @@ def state_to_probabilities(rho: np.ndarray, ctx: QuantumSimplexContext) -> np.nd
     rho = np.asarray(rho)
     if rho.shape[-2:] != (d, d):
         raise ValueError(f"expected {d}x{d} state, got shape {rho.shape}")
-    r = bloch.to_bloch(rho, ctx.basis)
+    return _bloch_to_probabilities(bloch.to_bloch(rho, ctx.basis), ctx)
+
+
+def _bloch_to_probabilities(r: np.ndarray, ctx: QuantumSimplexContext) -> np.ndarray:
+    """p_i = 1/d**2 + ((d+1)/d**2) e_i . r for Bloch vectors r, (..., m) ->
+    (..., d**2)."""
+    d = ctx.d
     return 1.0 / d ** 2 + (d + 1.0) / d ** 2 * (r @ ctx.sic.bloch_dirs.T)
 
 
@@ -104,7 +110,7 @@ def verify_b_equals_q(ctx: QuantumSimplexContext, samples: int, seed) -> float:
     for size in sample_blocks(samples):
         rho = bloch.random_density_matrix(ctx.d, rng, size=size)
         r = bloch.to_bloch(rho, ctx.basis)
-        s = probabilities_to_point(state_to_probabilities(rho, ctx), ctx)
+        s = probabilities_to_point(_bloch_to_probabilities(r, ctx), ctx)
         worst = np.maximum(worst, np.max(np.abs(s - r)))
     return float(worst)
 

@@ -7,17 +7,17 @@ traces Tr(sigma_a sigma_b sigma_c) = 2 d_abc + 2i f_abc.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
 # rows a of Tr(sigma_a sigma_b sigma_c) computed per matmul in
-# `structure_constants`; bounds its complex temporaries to a few
+# `_triple_traces`; bounds its complex temporaries to a few
 # SC_ROW_BLOCK * m * d**2 entries
 SC_ROW_BLOCK = 8
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class SuBasis:
     """Ordered basis {sigma_a} of traceless Hermitian d x d matrices.
 
@@ -25,10 +25,32 @@ class SuBasis:
     (lexicographic), then antisymmetric pairs -i(E_jk - E_kj), then the
     d - 1 diagonal matrices sqrt(2/(l(l+1))) (sum_{m<=l} E_mm - l E_{l+1,l+1}).
     For d = 2 this reproduces the Pauli matrices in the order (x, y, z).
+
+    Frozen, and it keeps a read-only copy of `matrices` (the caller's array
+    is left as it was), so the tables derived from it cannot go stale: its
+    `trace_columns` and `structure_constants` are built on first use and
+    cached on the basis for its lifetime, the structure constants taking
+    16 m**3 bytes, m = d**2 - 1.  Compared by identity.
     """
 
     d: int
-    matrices: np.ndarray  # (d**2 - 1, d, d) complex
+    matrices: np.ndarray  # (d**2 - 1, d, d) complex, read-only
+
+    def __post_init__(self):
+        matrices = np.array(self.matrices)
+        matrices.setflags(write=False)
+        object.__setattr__(self, "matrices", matrices)
+
+    @cached_property
+    def _trace_columns(self) -> np.ndarray:
+        m, d = self.matrices.shape[0], self.d
+        columns = self.matrices.transpose(0, 2, 1).reshape(m, d * d)
+        columns.setflags(write=False)
+        return columns.T
+
+    @cached_property
+    def _structure_constants(self) -> "StructureConstants":
+        return _triple_traces(self)
 
 
 @dataclass(frozen=True)
@@ -37,14 +59,15 @@ class StructureConstants:
 
     Defined by Tr(sigma_a sigma_b sigma_c) = 2 dsym_abc + 2i f_abc.  Dense
     storage: the two arrays take 16 m**3 bytes together, 0.7 MB at d = 6,
-    4.0 MB at d = 8 and 15.5 MB at d = 10.  `structure_constants` builds them
-    with O(d**8) flops of BLAS matmuls: on one thread of a shared 2-vCPU
-    Xeon host (numpy 2.4, OpenBLAS), medians of 15 runs: 1.5 ms at d = 6,
-    10 ms at d = 8 and 45 ms at d = 10.
+    4.0 MB at d = 8 and 15.5 MB at d = 10, and about 6.7 MB for all of
+    d = 2..8.  They are computed with O(d**8) flops of BLAS matmuls: on one
+    thread of a shared 2-vCPU Xeon host (numpy 2.4, OpenBLAS), medians of 15
+    runs: 1.5 ms at d = 6, 10 ms at d = 8 and 45 ms at d = 10.  Built once
+    per basis, so once per d for the Gell-Mann bases of `build_su_basis`.
 
-    Frozen, and `structure_constants` returns both arrays read-only, so the
-    sparse view of dsym that `star_product` reads, built on its first call
-    and cached, cannot go stale.
+    Frozen, with both arrays read-only, so the sparse view of dsym that
+    `star_product` reads, built on its first call and cached, cannot go
+    stale.
     """
 
     d: int
@@ -58,11 +81,14 @@ class StructureConstants:
         return a, b, c, self.dsym[a, b, c]
 
 
+@cache
 def build_su_basis(d: int) -> SuBasis:
     """Construct the generalized Gell-Mann basis for su(d).
 
     The result is deterministic, every matrix is Hermitian and traceless,
     and Tr(sigma_a sigma_b) = 2 delta_ab holds exactly up to roundoff.
+    Built once per d and shared, with the tables cached on it: every call
+    for the same d returns the same read-only basis.
 
     Raises
     ------
@@ -89,25 +115,35 @@ def build_su_basis(d: int) -> SuBasis:
         m[np.arange(l), np.arange(l)] = 1.0
         m[l, l] = -float(l)
         mats.append(np.sqrt(2.0 / (l * (l + 1))) * m)
-    return SuBasis(d=d, matrices=np.array(mats))
+    return SuBasis(d=d, matrices=mats)
 
 
 def trace_columns(basis: SuBasis) -> np.ndarray:
     """The (d**2, m) matrix T with Tr(X sigma_a) = (X.reshape(d**2) @ T)_a
     for any d x d matrix X: column a is sigma_a transposed and flattened,
-    since Tr(X sigma_a) = sum_ij X_ij (sigma_a)_ji."""
-    m, d = basis.matrices.shape[0], basis.d
-    return basis.matrices.transpose(0, 2, 1).reshape(m, d * d).T
+    since Tr(X sigma_a) = sum_ij X_ij (sigma_a)_ji.  Built once per basis
+    and read-only, 16 d**2 m bytes."""
+    return basis._trace_columns
 
 
 def structure_constants(basis: SuBasis) -> StructureConstants:
-    """Compute f_abc = Im Tr(sigma_a sigma_b sigma_c) / 2 and the symmetric
+    """f_abc = Im Tr(sigma_a sigma_b sigma_c) / 2 and the symmetric
     counterpart dsym_abc = Re Tr(sigma_a sigma_b sigma_c) / 2.
+
+    Computed on the first call for a basis and cached on it: every later
+    call returns the same read-only object.
+    """
+    return basis._structure_constants
+
+
+def _triple_traces(basis: SuBasis) -> StructureConstants:
+    """The structure constants from the triple traces, with both arrays
+    read-only.
 
     Each block of rows a is two matmuls: one forms the products
     sigma_a sigma_b of the block against all b, the other contracts their
     flattened form with `trace_columns`; only one block of complex traces
-    exists at a time.  Both arrays are returned read-only.
+    exists at a time.
     """
     S = basis.matrices
     m, d = S.shape[0], basis.d

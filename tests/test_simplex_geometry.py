@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sic_simplex.simplex_geometry import (build_simplex_frame,
+from sic_simplex.simplex_geometry import (MEMBERSHIP_TOL, build_simplex_frame,
                                           frame_from_vertices, to_point,
                                           to_probabilities, facet_distance,
                                           sum_p_squared)
@@ -135,6 +135,19 @@ def test_outside_point_is_flagged_not_raised():
     p, inside = to_probabilities(2.0 * frame.vertices[0], frame)
     assert not inside
     assert np.min(p) < -1e-12
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_point_past_a_vertex_within_the_lower_bound_is_outside(d):
+    # p_0 = 1 + 2 tol, every other p_j = -2 tol / n >= -tol: only the upper
+    # bound of the membership test can refuse this point
+    n = d * d - 1
+    frame = build_simplex_frame(n)
+    p = np.full(n + 1, -2.0 * MEMBERSHIP_TOL / n)
+    p[0] = 1.0 + 2.0 * MEMBERSHIP_TOL
+    p_back, inside = to_probabilities(p @ frame.vertices, frame)
+    assert p_back.min() >= -MEMBERSHIP_TOL
+    assert inside is False
 
 
 def test_facet_distance_tetrahedron():

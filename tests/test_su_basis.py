@@ -4,6 +4,8 @@ import itertools
 import numpy as np
 import pytest
 
+from sic_simplex import su_basis
+from sic_simplex.state_simplex import build_context
 from sic_simplex.su_basis import (SuBasis, build_su_basis, structure_constants,
                                   star_product)
 
@@ -61,8 +63,61 @@ def test_reconstruction_completeness(d):
 
 
 def test_determinism():
+    # the cached basis against an uncached build
     np.testing.assert_array_equal(build_su_basis(4).matrices,
-                                  build_su_basis(4).matrices)
+                                  build_su_basis.__wrapped__(4).matrices)
+
+
+def test_basis_is_built_once_per_d():
+    assert build_su_basis(3) is build_su_basis(3)
+    assert build_su_basis(3) is not build_su_basis(4)
+
+
+def test_basis_is_frozen_and_read_only():
+    basis = build_su_basis(3)
+    with pytest.raises(ValueError):
+        basis.matrices[0, 0, 0] = 1.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        basis.matrices = np.zeros_like(basis.matrices)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        basis.d = 4
+
+
+def test_basis_copies_the_callers_array():
+    mats = np.array(build_su_basis(3).matrices)
+    basis = SuBasis(d=3, matrices=mats)
+    assert mats.flags.writeable
+    mats[0] = 0.0
+    np.testing.assert_array_equal(basis.matrices[0], build_su_basis(3).matrices[0])
+
+
+def test_structure_constants_are_built_once_per_basis():
+    basis = build_su_basis(3)
+    assert structure_constants(basis) is structure_constants(basis)
+
+
+def test_two_contexts_run_the_triple_trace_kernel_once(monkeypatch):
+    calls = []
+    kernel = su_basis._triple_traces
+
+    def counted(basis):
+        calls.append(basis.d)
+        return kernel(basis)
+
+    monkeypatch.setattr(su_basis, "_triple_traces", counted)
+    # a fresh basis for d = 2, whose context needs no fiducial search
+    build_su_basis.cache_clear()
+    a, b = build_context(2), build_context(2)
+    assert calls == [2]
+    assert a.basis is b.basis and a.sc is b.sc
+
+
+@pytest.mark.parametrize("d", range(2, 9))
+def test_cached_structure_constants_equal_a_fresh_table(d):
+    sc = structure_constants(build_su_basis(d))
+    fresh = su_basis._triple_traces(build_su_basis.__wrapped__(d))
+    assert np.array_equal(sc.f, fresh.f)
+    assert np.array_equal(sc.dsym, fresh.dsym)
 
 
 def _levi_civita(a, b, c):
