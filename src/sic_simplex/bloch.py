@@ -10,6 +10,8 @@ pure state has |r|^2 = (d-1)/(d+1) and satisfies the star-product condition
 r * r = (d-2) sqrt(2/(d(d+1))) r.
 """
 
+import math
+
 import numpy as np
 
 from .su_basis import SuBasis, StructureConstants, star_product, trace_columns
@@ -47,14 +49,19 @@ def from_bloch(r: np.ndarray, basis: SuBasis) -> np.ndarray:
     """Candidate density matrix I/d + sqrt((d+1)/(2d)) r . sigma.
 
     Hermitian with unit trace for any real r; positive semidefiniteness is
-    not guaranteed (check with `is_state`).
+    not guaranteed (check with `is_state`).  r . sigma is one product of r
+    with the basis flattened to (m, d**2), a view of `basis.matrices`, so no
+    table is cached; 1/d is then added to the diagonal of the fresh result.
     """
     d = basis.d
+    m = d * d - 1
     r = np.asarray(r, dtype=float)
-    if r.shape != (d * d - 1,):
-        raise ValueError(f"expected Bloch vector of length {d * d - 1}, got {r.shape}")
-    coeff = np.sqrt((d + 1.0) / (2.0 * d))
-    return np.eye(d) / d + coeff * np.einsum('a,aij->ij', r, basis.matrices)
+    if r.shape != (m,):
+        raise ValueError(f"expected Bloch vector of length {m}, got {r.shape}")
+    coeff = math.sqrt((d + 1.0) / (2.0 * d))
+    rho = coeff * (r @ basis.matrices.reshape(m, d * d)).reshape(d, d)
+    rho.flat[::d + 1] += 1.0 / d
+    return rho
 
 
 def to_bloch(rho: np.ndarray, basis: SuBasis) -> np.ndarray:
@@ -111,9 +118,10 @@ def is_pure(r: np.ndarray, sc: StructureConstants, tol: float = PURITY_TOL) -> b
         raise ValueError(f"expected Bloch vector of length {d * d - 1}, got {r.shape}")
     if not abs(r @ r - (d - 1.0) / (d + 1.0)) <= tol:
         return False
-    star_defect = np.linalg.norm(
-        star_product(r, r, sc) - (d - 2.0) * np.sqrt(2.0 / (d * (d + 1.0))) * r)
-    return bool(star_defect <= tol)
+    prefactor = (d - 2.0) * math.sqrt(2.0 / (d * (d + 1.0)))
+    defect = star_product(r, r, sc) - prefactor * r
+    # sqrt(defect . defect), the sum np.linalg.norm forms for a real vector
+    return math.sqrt(defect @ defect) <= tol
 
 
 def _stack(size: int | None) -> tuple:

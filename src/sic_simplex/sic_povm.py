@@ -293,6 +293,9 @@ def fiducial_from_json(obj: dict) -> Fiducial:
     """Fiducial from a catalog entry; its "residual" field is not read."""
     if not isinstance(obj, dict):
         raise ValueError(f"fiducial entry is not a JSON object: {obj!r:.40}")
+    missing = sorted({"d", "psi"} - obj.keys())
+    if missing:
+        raise ValueError(f"fiducial entry has no {', '.join(missing)} field")
     arr = np.array(obj["psi"], dtype=float)
     d = int(obj["d"])
     if arr.shape != (d, 2):
@@ -310,7 +313,14 @@ def load_catalog(path: str) -> dict:
     """Mapping d -> Fiducial from a catalog file; empty if the file is
     absent, empty or only whitespace.
 
-    Raises ValueError when the file is JSON but not an object of entries."""
+    Entries are read one at a time.  One whose key is not a dimension
+    written as `save_catalog` writes it (so "03" cannot shadow "3"), that
+    is not a well-formed fiducial, or whose vector has another dimension
+    than its key is refused with a WARNING naming its key and the reason;
+    the other entries are kept.
+
+    Raises ValueError when the file is not JSON, or is JSON but not an
+    object of entries."""
     if not os.path.exists(path):
         return {}
     with open(path) as fh:
@@ -321,7 +331,20 @@ def load_catalog(path: str) -> dict:
     if not isinstance(raw, dict):
         raise ValueError(f"catalog is a JSON {type(raw).__name__}, "
                          "not an object")
-    return {int(k): fiducial_from_json(v) for k, v in raw.items()}
+    catalog = {}
+    for key, entry in raw.items():
+        try:
+            d = int(key)
+            if key != str(d):
+                raise ValueError(f"key {key!r} is not written as a dimension")
+            fid = fiducial_from_json(entry)
+            if fid.d != d:
+                raise ValueError(f"it holds a d={fid.d} vector")
+        except (ValueError, TypeError, OverflowError) as exc:
+            log.warning("refused catalog entry for d=%s: %s", key, exc)
+            continue
+        catalog[d] = fid
+    return catalog
 
 
 def save_catalog(catalog: dict, path: str) -> None:
@@ -345,7 +368,7 @@ def save_catalog(catalog: dict, path: str) -> None:
 def _load_catalog_or_empty(path: str) -> dict:
     try:
         return load_catalog(path)
-    except (ValueError, KeyError, json.JSONDecodeError) as exc:
+    except ValueError as exc:
         log.warning("unreadable fiducial catalog %s: %s", path, exc)
         return {}
 
@@ -353,7 +376,8 @@ def _load_catalog_or_empty(path: str) -> dict:
 def record_fiducial(fid: Fiducial, path: str | None = None,
                     catalog: dict | None = None) -> None:
     """Persist a converged search result into the catalog at `path` (best
-    effort: an unreadable catalog is replaced, a failed write is logged).
+    effort: an unreadable catalog is replaced, refused entries are dropped,
+    a failed write is logged).
 
     `catalog` is the caller's already loaded copy of that file, if any.
     """
@@ -373,20 +397,17 @@ def get_fiducial(d: int, seed: int = 0,
                  catalog_path: str | None = None) -> Fiducial:
     """Resolve a fiducial: builtin (d = 2), then catalog, then fresh search.
 
-    A catalog entry is used only if it has dimension d and its vector's
-    orbit residual meets `DEFAULT_TARGET_RESIDUAL`, else a new search runs
-    and is persisted back (best effort).  Catalog decisions go to the
-    "sic_simplex" logger.
+    A catalog entry is used only if `load_catalog` accepts it and its
+    vector's orbit residual meets `DEFAULT_TARGET_RESIDUAL`, else a new
+    search runs and is persisted back with the other accepted entries (best
+    effort).  Catalog decisions go to the "sic_simplex" logger.
     """
     if d == 2:
         return qubit_tetrahedron_fiducial()
     path = catalog_path or default_catalog_path()
     catalog = _load_catalog_or_empty(path)
     cached = catalog.get(d)
-    if cached is not None and cached.d != d:
-        log.warning("refused catalog entry for d=%d: it holds a d=%d vector",
-                    d, cached.d)
-    elif cached is not None:
+    if cached is not None:
         res = cached.residual
         if res <= DEFAULT_TARGET_RESIDUAL:
             log.debug("catalog hit for d=%d in %s", d, path)

@@ -6,6 +6,7 @@ so |t_i| = sqrt(n), sum_i t_i = 0, and a distribution {p_i} maps to the
 point s = sum_i p_i t_i with inverse p_i = (s . t_i + 1) / (n+1).
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,8 +94,8 @@ def to_probabilities(s: np.ndarray, frame: SimplexFrame):
     if s.shape != (frame.n,):
         raise ValueError(f"expected point of length {frame.n}, got {s.shape}")
     p = (frame.vertices @ s + 1.0) / (frame.n + 1.0)
-    lo, hi = p.min(), p.max()
-    if not (np.isfinite(lo) and np.isfinite(hi)):
+    lo, hi = np.minimum.reduce(p), np.maximum.reduce(p)
+    if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError("recovered probabilities are not finite")
     inside = bool(lo >= -MEMBERSHIP_TOL and hi <= 1.0 + MEMBERSHIP_TOL)
     return p, inside

@@ -41,6 +41,36 @@ def test_from_bloch_length_check():
         from_bloch(np.zeros(4), BASES[2])
 
 
+@pytest.mark.parametrize("d", range(2, 9))
+def test_from_bloch_matches_the_einsum_form(d):
+    # only the diagonal sums reorder, so the two agree to roundoff of the
+    # largest entry, which grows with |r|
+    basis = build_su_basis(d)
+    n = d * d - 1
+    rng = np.random.default_rng(40 + d)
+    units = rng.normal(size=(80, n))
+    units /= np.linalg.norm(units, axis=1, keepdims=True)
+    radii = np.repeat([1e-3, np.sqrt((d - 1.0) / (d + 1.0)),
+                       1.5 * np.sqrt(n), 10.0 * np.sqrt(n)], 20)
+    coeff = np.sqrt((d + 1.0) / (2.0 * d))
+    for r in radii[:, None] * units:
+        ref = np.eye(d) / d + coeff * np.einsum('a,aij->ij', r, basis.matrices)
+        err = np.max(np.abs(from_bloch(r, basis) - ref))
+        assert err <= 1e-15 * max(1.0, np.max(np.abs(ref)))
+
+
+@pytest.mark.parametrize("d", [2, 5])
+def test_from_bloch_returns_a_fresh_writable_matrix(d):
+    basis = build_su_basis(d)
+    r = to_bloch(random_density_matrix(d, 6), basis)
+    matrices = basis.matrices.copy()
+    rho = from_bloch(r, basis)
+    first = rho.copy()
+    rho[...] = 7.0
+    np.testing.assert_array_equal(basis.matrices, matrices)
+    np.testing.assert_array_equal(from_bloch(r, basis), first)
+
+
 def test_maximally_mixed_has_zero_bloch_vector():
     for d in (2, 3, 5):
         r = to_bloch(np.eye(d) / d, BASES[d])

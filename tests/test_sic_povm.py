@@ -444,7 +444,7 @@ def test_search_logs_one_record_per_restart(caplog):
     assert [r["ended_search"] for r in records] == ["False", "False"]
 
 
-@pytest.mark.parametrize("text", ['[1, 2]', '{"3": [1, 2]}'])
+@pytest.mark.parametrize("text", ['[1, 2]'])
 def test_non_object_catalog_is_treated_as_empty(text, tmp_path, monkeypatch,
                                                 caplog):
     path = tmp_path / "cat.json"
@@ -505,6 +505,71 @@ def test_empty_catalog_file_is_a_catalog_with_no_entries(text, tmp_path,
     assert not [r for r in caplog.records if r.levelno >= logging.WARNING]
     assert fid.converged
     assert "3" in json.loads(path.read_text())
+
+
+def _no_search(*args, **kwargs):
+    raise AssertionError("the catalog entry should have been used")
+
+
+def test_one_bad_entry_leaves_the_others_usable(tmp_path, contexts,
+                                                monkeypatch, caplog):
+    raw = {str(d): _unit_vector_entry(d, d) for d in (4, 5, 6, 7, 8)}
+    raw["3"] = fiducial_to_json(contexts[3].sic.fiducial)
+    raw["6"]["psi"] = raw["6"]["psi"][:-1]
+    path = tmp_path / "cat.json"
+    path.write_text(json.dumps(raw))
+    monkeypatch.setattr(sic_povm, "find_fiducial", _no_search)
+    with caplog.at_level(logging.DEBUG, logger="sic_simplex"):
+        fid = get_fiducial(3, catalog_path=str(path))
+    np.testing.assert_array_equal(fid.psi, contexts[3].sic.fiducial.psi)
+    [refused] = [r for r in caplog.records if r.levelno >= logging.WARNING]
+    assert "d=6:" in refused.getMessage()
+    assert "(5, 2)" in refused.getMessage()
+    assert any("hit" in r.getMessage() for r in caplog.records)
+    record_fiducial(qubit_tetrahedron_fiducial(), str(path))
+    assert sorted(json.loads(path.read_text()), key=int) == [
+        "2", "3", "4", "5", "7", "8"]
+
+
+def _bad_entries():
+    truncated = _unit_vector_entry(3, 0)
+    truncated["psi"] = truncated["psi"][:-1]
+    unnormalized = _unit_vector_entry(3, 0)
+    unnormalized["psi"][0] = [2.0, 0.0]
+    return [
+        ("3", [1, 2], "not a JSON object"),
+        ("x", _unit_vector_entry(3, 0), "invalid literal"),
+        ("05", _unit_vector_entry(5, 0), "not written as a dimension"),
+        ("3", {"d": 3}, "no psi field"),
+        ("3", {**_unit_vector_entry(3, 0), "d": None}, "NoneType"),
+        ("3", truncated, "(2, 2) for d=3"),
+        ("3", unnormalized, "norm"),
+        ("3", _unit_vector_entry(4, 0), "d=4 vector"),
+    ]
+
+
+@pytest.mark.parametrize(
+    "key, entry, reason", _bad_entries(),
+    ids=["entry-not-an-object", "key-not-a-dimension",
+         "key-shadowing-another", "missing-field",
+         "d-not-a-number", "truncated-psi", "unnormalized-psi",
+         "other-dimension"])
+def test_bad_catalog_entry_is_refused_alone(key, entry, reason, tmp_path,
+                                            contexts, monkeypatch, caplog):
+    path = tmp_path / "cat.json"
+    path.write_text(json.dumps(
+        {key: entry, "5": fiducial_to_json(contexts[5].sic.fiducial)}))
+    with caplog.at_level(logging.WARNING, logger="sic_simplex"):
+        assert list(load_catalog(str(path))) == [5]
+    [refused] = caplog.records
+    assert f"d={key}:" in refused.getMessage()
+    assert reason in refused.getMessage()
+    monkeypatch.setattr(sic_povm, "find_fiducial", _no_search)
+    np.testing.assert_array_equal(
+        get_fiducial(5, catalog_path=str(path)).psi,
+        contexts[5].sic.fiducial.psi)
+    record_fiducial(qubit_tetrahedron_fiducial(), str(path))
+    assert sorted(json.loads(path.read_text())) == ["2", "5"]
 
 
 @pytest.mark.parametrize("seed", range(10))

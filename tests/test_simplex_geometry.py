@@ -150,6 +150,53 @@ def test_point_past_a_vertex_within_the_lower_bound_is_outside(d):
     assert inside is False
 
 
+@pytest.mark.parametrize("n", [1, 3, 8, 24, 63])
+def test_to_probabilities_is_the_affine_map_bit_for_bit(n):
+    frame = build_simplex_frame(n)
+    rng = np.random.default_rng(n)
+    for s in rng.normal(scale=2.0, size=(20, n)):
+        p, _ = to_probabilities(s, frame)
+        assert np.array_equal(p, (frame.vertices @ s + 1.0) / (frame.n + 1.0))
+
+
+def _flip_scan(frame, direction, t0):
+    """(p, inside) at each of the 2001 floats t nearest t0 on the ray
+    s = t * direction."""
+    steps = t0 + np.spacing(t0) * np.arange(-1000, 1001)
+    return [(((frame.vertices @ s + 1.0) / (frame.n + 1.0)),
+             to_probabilities(s, frame)[1])
+            for s in steps[:, None] * direction]
+
+
+@pytest.mark.parametrize("n", [3, 15, 24, 63])
+def test_inside_flips_exactly_at_the_upper_bound(n):
+    # toward vertex 0, p_0 reaches 1 + tol while every other p_j is
+    # -tol / n, so only the upper bound decides; the scan meets the bound
+    # itself, which is still inside
+    frame = build_simplex_frame(n)
+    scan = _flip_scan(frame, frame.vertices[0],
+                      1.0 + MEMBERSHIP_TOL * (n + 1.0) / n)
+    for p, inside in scan:
+        assert p.min() >= -MEMBERSHIP_TOL
+        assert inside == (p.max() <= 1.0 + MEMBERSHIP_TOL)
+    assert any(p.max() == 1.0 + MEMBERSHIP_TOL and inside
+               for p, inside in scan)
+    assert {inside for _, inside in scan} == {True, False}
+
+
+@pytest.mark.parametrize("n", [3, 8, 15, 24, 63])
+def test_inside_flips_exactly_at_the_lower_bound(n):
+    # away from vertex 0, p_0 falls through -tol while every other p_j stays
+    # below 1, so only the lower bound decides
+    frame = build_simplex_frame(n)
+    scan = _flip_scan(frame, -frame.vertices[0],
+                      1.0 / n + MEMBERSHIP_TOL * (n + 1.0) / n)
+    for p, inside in scan:
+        assert p.max() <= 1.0
+        assert inside == (p.min() >= -MEMBERSHIP_TOL)
+    assert {inside for _, inside in scan} == {True, False}
+
+
 def test_facet_distance_tetrahedron():
     assert abs(facet_distance(3, 0) - np.sqrt(3.0)) < 1e-15
     assert abs(facet_distance(3, 2) - 1.0 / np.sqrt(3.0)) < 1e-15

@@ -293,6 +293,42 @@ def test_classify_matches_dense_oracle(d, contexts):
                            IN_SIMPLEX_NOT_STATE}
 
 
+@pytest.fixture(scope="module")
+def contexts_to_8(contexts):
+    return {**contexts, **{d: build_context(d, seed=1) for d in (7, 8)}}
+
+
+@pytest.mark.parametrize("d", range(2, 9))
+def test_classification_end_to_end(d, contexts_to_8):
+    ctx = contexts_to_8[d]
+    rng = np.random.default_rng(170 + d)
+    n, k = d * d - 1, 30
+    units = rng.normal(size=(2 * k, n))
+    units /= np.linalg.norm(units, axis=1, keepdims=True)
+    points = np.vstack([
+        bloch.to_bloch(bloch.random_pure_state(d, rng, size=k), ctx.basis),
+        bloch.to_bloch(bloch.random_density_matrix(d, rng, size=k), ctx.basis),
+        np.sqrt((d - 1.0) / (d + 1.0)) * units[:k],
+        np.sqrt(n) * rng.uniform(1.01, 1.5, size=(k, 1)) * units[k:],
+    ])
+    if d >= 3:
+        points = np.vstack([points, find_nonstate_sphere_point(ctx, seed=d)])
+    labels = [classify_point(s, ctx) for s in points]
+    assert labels == [_oracle_label(s, ctx) for s in points]
+    pure, mixed, sphere, beyond = (labels[j * k:(j + 1) * k] for j in range(4))
+    assert pure == [PURE_STATE] * k
+    assert mixed == [MIXED_STATE] * k
+    assert beyond == [OUTSIDE_SIMPLEX] * k
+    if d == 2:
+        # the qubit pure sphere is the inscribed sphere, all of it states
+        assert set(sphere) == {PURE_STATE}
+    else:
+        # a sphere point that is a state is pure, which a random point is
+        # with probability zero
+        assert set(sphere) <= {OUTSIDE_SIMPLEX, IN_SIMPLEX_NOT_STATE}
+        assert labels[-1] == IN_SIMPLEX_NOT_STATE
+
+
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 @settings(max_examples=50, deadline=None)
 @given(d=st.integers(2, 5), data=st.data(),
