@@ -38,21 +38,9 @@ def _dim(value: str) -> int:
     return d
 
 
-def _check_finite(obj) -> None:
-    """Refuse to emit NaN/Inf anywhere in an output payload."""
-    if isinstance(obj, dict):
-        for v in obj.values():
-            _check_finite(v)
-    elif isinstance(obj, (list, tuple)):
-        for v in obj:
-            _check_finite(v)
-    elif isinstance(obj, float) and not math.isfinite(obj):
-        raise ValueError(f"non-finite value {obj!r} in output")
-
-
 def _write_json(obj, path: str | None) -> None:
-    _check_finite(obj)
-    text = json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    # allow_nan=False refuses NaN/Inf before any file is opened
+    text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
     if path:
         with open(path, "w") as fh:
             fh.write(text)
@@ -61,7 +49,9 @@ def _write_json(obj, path: str | None) -> None:
 
 
 def _write_csv(columns, rows, path: str | None) -> None:
-    _check_finite([list(r.values()) for r in rows])
+    if not all(math.isfinite(v) for r in rows for v in r.values()
+               if isinstance(v, float)):
+        raise ValueError("non-finite value in output")
     out = open(path, "w", newline="") if path else sys.stdout
     try:
         writer = csv.DictWriter(out, fieldnames=columns)

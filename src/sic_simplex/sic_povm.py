@@ -46,30 +46,43 @@ _RIDGE = 1e-12
 log = logging.getLogger("sic_simplex")
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class Fiducial:
     """Unit vector whose displacement orbit is (close to) a SIC.
 
-    `d` and `residual` (the orbit's worst overlap deviation, see
-    `sic_residual`) are read off `psi`, so they cannot disagree with it;
     `source` records provenance ("builtin", "search" or "manual"); for
     searches, `seed`/`config` pin the run and `converged` records whether
-    the target residual was reached.
+    the target residual was reached.  Frozen, with a read-only copy of
+    `psi` (the caller's array is left as it was), so `d`, the `orbit` and
+    its `residual` (worst overlap deviation, see `sic_residual`) are read
+    off `psi` and cannot disagree with it; the orbit and residual are
+    computed on first use and cached.  Compared by identity.
     """
 
-    psi: np.ndarray  # (d,) complex, unit norm
+    psi: np.ndarray  # (d,) complex, unit norm, read-only
     source: str = "manual"
     seed: int | None = None
     config: dict | None = None
     converged: bool | None = None
 
+    def __post_init__(self):
+        psi = np.array(self.psi, dtype=complex)
+        psi.setflags(write=False)
+        object.__setattr__(self, "psi", psi)
+
     @property
     def d(self) -> int:
         return self.psi.shape[0]
 
-    @property
+    @functools.cached_property
+    def orbit(self) -> np.ndarray:
+        orbit = wh_orbit(self.psi)
+        orbit.setflags(write=False)
+        return orbit
+
+    @functools.cached_property
     def residual(self) -> float:
-        return sic_residual(wh_orbit(self.psi))
+        return sic_residual(self.orbit)
 
 
 @dataclass
@@ -248,17 +261,17 @@ def find_fiducial(d: int, seed: int = 0, restarts: int = 10,
 def build_sic(fid: Fiducial, basis: SuBasis) -> SicPovm:
     """Effects E_i = |psi_i><psi_i| / d and Bloch directions e_i of d*E_i.
 
-    Refuses fiducials whose orbit residual, computed here from the orbit
-    itself, exceeds `MAX_BUILD_RESIDUAL` (or is NaN): the resulting
+    Reads the fiducial's cached `orbit` and `residual`, so a fiducial that
+    `get_fiducial` already checked forms its orbit once.  Refuses fiducials
+    whose residual exceeds `MAX_BUILD_RESIDUAL` (or is NaN): the resulting
     operators would not resolve the identity to any useful accuracy.
     """
     if basis.d != fid.d:
         raise ValueError(f"basis dimension {basis.d} != fiducial dimension {fid.d}")
-    orbit = wh_orbit(fid.psi)
-    res = sic_residual(orbit)
-    if not res <= MAX_BUILD_RESIDUAL:
-        raise ValueError(f"fiducial residual {res:.3e} exceeds "
+    if not fid.residual <= MAX_BUILD_RESIDUAL:
+        raise ValueError(f"fiducial residual {fid.residual:.3e} exceeds "
                          f"{MAX_BUILD_RESIDUAL:.1e}")
+    orbit = fid.orbit
     effects = np.einsum('ai,aj->aij', orbit, orbit.conj()) / fid.d
     # one batched call: the d**2 effects are already held in full
     bloch_dirs = to_bloch(fid.d * effects, basis)
@@ -310,14 +323,11 @@ def fiducial_from_json(obj: dict) -> Fiducial:
 
 
 def load_catalog(path: str) -> dict:
-    """Mapping d -> Fiducial from a catalog file; empty if the file is
-    absent, empty or only whitespace.
+    """The entries of a catalog file as stored, `str(d)` -> JSON value;
+    empty if the file is absent, empty or only whitespace.
 
-    Entries are read one at a time.  One whose key is not a dimension
-    written as `save_catalog` writes it (so "03" cannot shadow "3"), that
-    is not a well-formed fiducial, or whose vector has another dimension
-    than its key is refused with a WARNING naming its key and the reason;
-    the other entries are kept.
+    No entry is parsed here: `get_fiducial` parses only the one it looks
+    up, and `record_fiducial` writes the others back unchanged.
 
     Raises ValueError when the file is not JSON, or is JSON but not an
     object of entries."""
@@ -331,32 +341,19 @@ def load_catalog(path: str) -> dict:
     if not isinstance(raw, dict):
         raise ValueError(f"catalog is a JSON {type(raw).__name__}, "
                          "not an object")
-    catalog = {}
-    for key, entry in raw.items():
-        try:
-            d = int(key)
-            if key != str(d):
-                raise ValueError(f"key {key!r} is not written as a dimension")
-            fid = fiducial_from_json(entry)
-            if fid.d != d:
-                raise ValueError(f"it holds a d={fid.d} vector")
-        except (ValueError, TypeError, OverflowError) as exc:
-            log.warning("refused catalog entry for d=%s: %s", key, exc)
-            continue
-        catalog[d] = fid
-    return catalog
+    return raw
 
 
 def save_catalog(catalog: dict, path: str) -> None:
-    """Write the catalog atomically: dump to a temporary file beside `path`,
-    then rename it over `path`, so readers never see a partial file and a
-    failed write leaves the previous catalog untouched."""
+    """Write stored entries (`str(d)` -> JSON value, as `load_catalog`
+    returns them) atomically: dump to a temporary file beside `path`, then
+    rename it over `path`, so readers never see a partial file and a failed
+    write leaves the previous catalog untouched."""
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    raw = {str(d): fiducial_to_json(f) for d, f in sorted(catalog.items())}
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w") as fh:
-            json.dump(raw, fh, sort_keys=True, indent=2)
+            json.dump(catalog, fh, sort_keys=True, indent=2)
             fh.write("\n")
         os.replace(tmp, path)
     except BaseException:
@@ -365,28 +362,29 @@ def save_catalog(catalog: dict, path: str) -> None:
         raise
 
 
-def _load_catalog_or_empty(path: str) -> dict:
-    try:
-        return load_catalog(path)
-    except ValueError as exc:
-        log.warning("unreadable fiducial catalog %s: %s", path, exc)
-        return {}
+def record_fiducial(fid: Fiducial, path: str | None = None) -> None:
+    """Persist a search result into the catalog at `path`, best effort.
 
-
-def record_fiducial(fid: Fiducial, path: str | None = None,
-                    catalog: dict | None = None) -> None:
-    """Persist a converged search result into the catalog at `path` (best
-    effort: an unreadable catalog is replaced, refused entries are dropped,
-    a failed write is logged).
-
-    `catalog` is the caller's already loaded copy of that file, if any.
+    Only what a lookup would accept is written: a converged fiducial whose
+    orbit residual meets `DEFAULT_TARGET_RESIDUAL` (else one WARNING when it
+    claims convergence).  The file is re-read just before the write, and
+    every other entry goes back as stored, including ones `get_fiducial`
+    would refuse.  An unreadable file is replaced by a catalog holding only
+    this entry, and a failed write is logged, each with one WARNING.
     """
     if not fid.converged:
         return
+    if not fid.residual <= DEFAULT_TARGET_RESIDUAL:
+        log.warning("not recording d=%d fiducial: residual %.3e",
+                    fid.d, fid.residual)
+        return
     path = path or default_catalog_path()
-    if catalog is None:
-        catalog = _load_catalog_or_empty(path)
-    catalog[fid.d] = fid
+    try:
+        catalog = load_catalog(path)
+    except ValueError as exc:
+        log.warning("replacing fiducial catalog %s: %s", path, exc)
+        catalog = {}
+    catalog[str(fid.d)] = fiducial_to_json(fid)
     try:
         save_catalog(catalog, path)
     except OSError as exc:
@@ -397,22 +395,32 @@ def get_fiducial(d: int, seed: int = 0,
                  catalog_path: str | None = None) -> Fiducial:
     """Resolve a fiducial: builtin (d = 2), then catalog, then fresh search.
 
-    A catalog entry is used only if `load_catalog` accepts it and its
-    vector's orbit residual meets `DEFAULT_TARGET_RESIDUAL`, else a new
-    search runs and is persisted back with the other accepted entries (best
-    effort).  Catalog decisions go to the "sic_simplex" logger.
+    Only the catalog entry for d is parsed.  It is used if it is a
+    well-formed fiducial of dimension d whose orbit residual meets
+    `DEFAULT_TARGET_RESIDUAL`; else it is refused with one WARNING naming d
+    and the reason, and a new search runs and is recorded (best effort, see
+    `record_fiducial`).  Catalog decisions go to the "sic_simplex" logger.
     """
     if d == 2:
         return qubit_tetrahedron_fiducial()
     path = catalog_path or default_catalog_path()
-    catalog = _load_catalog_or_empty(path)
-    cached = catalog.get(d)
-    if cached is not None:
-        res = cached.residual
-        if res <= DEFAULT_TARGET_RESIDUAL:
+    try:
+        catalog = load_catalog(path)
+    except ValueError as exc:
+        log.warning("unreadable fiducial catalog %s: %s", path, exc)
+        catalog = {}
+    if str(d) in catalog:
+        try:
+            cached = fiducial_from_json(catalog[str(d)])
+            if cached.d != d:
+                raise ValueError(f"it holds a d={cached.d} vector")
+            if not cached.residual <= DEFAULT_TARGET_RESIDUAL:
+                raise ValueError(f"residual {cached.residual:.3e}")
+        except (ValueError, TypeError, OverflowError) as exc:
+            log.warning("refused catalog entry for d=%d: %s", d, exc)
+        else:
             log.debug("catalog hit for d=%d in %s", d, path)
             return cached
-        log.warning("refused catalog entry for d=%d: residual %.3e", d, res)
     fid = find_fiducial(d, seed=seed)
-    record_fiducial(fid, path, catalog)
+    record_fiducial(fid, path)
     return fid

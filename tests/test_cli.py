@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from sic_simplex import bloch
+from sic_simplex import bloch, cli
 from sic_simplex.cli import build_parser, main
 from sic_simplex.sic_povm import (DEFAULT_TARGET_RESIDUAL, find_fiducial,
                                   fiducial_to_json, qubit_tetrahedron_fiducial)
@@ -83,6 +83,17 @@ def test_verify_csv_columns(tmp_path):
     assert rc == 0
     header = out.read_text().splitlines()[0]
     assert header == "d,R_out,R_in,R_pure,m_pure,sum_p2_pure,max_theorem_deviation"
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_verify_refuses_non_finite_output(fmt, tmp_path, monkeypatch):
+    # a NaN deviation exits 2 before the output file is opened
+    monkeypatch.setattr(cli, "verify_b_equals_q",
+                        lambda ctx, samples, seed: float("nan"))
+    out = tmp_path / f"verify.{fmt}"
+    assert main(["verify", "--d", "2", "--samples", "10", "--format", fmt,
+                 "--out", str(out)]) == 2
+    assert not out.exists()
 
 
 def test_verify_needs_dimension():

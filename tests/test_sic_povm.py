@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import logging
+import pathlib
 import unittest
 
 import numpy as np
@@ -17,6 +19,7 @@ from sic_simplex.sic_povm import (Fiducial, displacement_operators, wh_orbit,
                                   load_catalog, save_catalog,
                                   record_fiducial)
 from sic_simplex.simplex_geometry import frame_from_vertices
+from sic_simplex.state_simplex import build_context
 from sic_simplex.su_basis import build_su_basis, structure_constants
 
 
@@ -136,10 +139,28 @@ def test_build_sic_refuses_bad_fiducial():
 
 
 def test_build_sic_refuses_nan_residual():
-    fid = qubit_tetrahedron_fiducial()
-    fid.psi[1] = np.nan
+    psi = qubit_tetrahedron_fiducial().psi.copy()
+    psi[1] = np.nan
     with pytest.raises(ValueError):
-        build_sic(fid, build_su_basis(2))
+        build_sic(Fiducial(psi=psi), build_su_basis(2))
+
+
+def test_fiducial_is_frozen_and_read_only():
+    psi = qubit_tetrahedron_fiducial().psi.copy()
+    fid = Fiducial(psi=psi, source="builtin", converged=True)
+    with pytest.raises(ValueError):
+        fid.psi[0] = 0.0
+    with pytest.raises(ValueError):
+        fid.orbit[0, 0] = 0.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        fid.converged = False
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        fid.psi = psi
+    # the caller's array stays writable, and writing into it leaves the
+    # fiducial's copy as it was
+    psi[0] = 0.0
+    np.testing.assert_array_equal(fid.psi, qubit_tetrahedron_fiducial().psi)
+    assert fid.residual < 1e-12
 
 
 def test_build_sic_dimension_mismatch():
@@ -223,14 +244,16 @@ def test_fiducial_json_keeps_converged():
 
 def test_failed_catalog_write_keeps_previous_file(tmp_path):
     path = tmp_path / "cat.json"
-    save_catalog({2: qubit_tetrahedron_fiducial()}, str(path))
+    save_catalog({"2": fiducial_to_json(qubit_tetrahedron_fiducial())},
+                 str(path))
     before = path.read_bytes()
     good = find_fiducial(3, seed=5, restarts=2)
     # an unserializable config makes json.dump fail after writing the
     # entries sorted before it
     bad = Fiducial(psi=np.ones(4) / 2.0, config={"x": object()})
     with pytest.raises(TypeError):
-        save_catalog({3: good, 4: bad}, str(path))
+        save_catalog({"3": fiducial_to_json(good),
+                      "4": fiducial_to_json(bad)}, str(path))
     assert path.read_bytes() == before
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cat.json"]
 
@@ -240,17 +263,29 @@ def test_record_fiducial_only_keeps_converged(tmp_path):
     fid = find_fiducial(3, seed=0, restarts=2, target_residual=1e-20)
     record_fiducial(fid, path)
     assert load_catalog(path) == {}
-    fid.converged = True
-    record_fiducial(fid, path)
-    assert load_catalog(path)[3].converged is True
+    record_fiducial(dataclasses.replace(fid, converged=True), path)
+    assert load_catalog(path)["3"]["converged"] is True
+
+
+def test_record_fiducial_refuses_what_a_lookup_would_refuse(tmp_path, caplog):
+    # claims convergence, but Z|0> = |0> puts an overlap 3/4 off 1/4
+    path = tmp_path / "cat.json"
+    fid = Fiducial(psi=[1, 0, 0], source="search", converged=True)
+    with caplog.at_level(logging.WARNING, logger="sic_simplex"):
+        record_fiducial(fid, str(path))
+    assert not path.exists()
+    [record] = caplog.records
+    assert "d=3" in record.getMessage()
+    assert "7.500e-01" in record.getMessage()
 
 
 def test_catalog_roundtrip(tmp_path):
     path = str(tmp_path / "cat.json")
     fid = find_fiducial(3, seed=5, restarts=2)
-    save_catalog({3: fid}, path)
+    save_catalog({"3": fiducial_to_json(fid)}, path)
     loaded = load_catalog(path)
-    np.testing.assert_array_equal(loaded[3].psi, fid.psi)
+    assert loaded == {"3": fiducial_to_json(fid)}
+    np.testing.assert_array_equal(fiducial_from_json(loaded["3"]).psi, fid.psi)
     assert load_catalog(str(tmp_path / "missing.json")) == {}
 
 
@@ -470,7 +505,7 @@ def test_catalog_entry_under_the_wrong_key_is_refused(tmp_path, monkeypatch,
     assert fid.d == 4 and fid.source == "search"
     [refused] = [r for r in caplog.records if r.levelno == logging.WARNING]
     assert "d=4" in refused.getMessage() and "d=3" in refused.getMessage()
-    assert load_catalog(str(path))[4].d == 4  # the search replaced it
+    assert load_catalog(str(path))["4"]["d"] == 4  # the search replaced it
     path.write_text(json.dumps({"4": entry}))
     monkeypatch.setenv("SIC_SIMPLEX_CATALOG", str(path))
     assert main(["verify", "--d", "4", "--samples", "10"]) == 0
@@ -491,7 +526,7 @@ def test_catalog_entry_of_another_dimension_is_refused(d, d_entry, contexts,
     [refused] = logs.records
     assert f"d={d}:" in refused.getMessage()
     assert f"d={d_entry} vector" in refused.getMessage()
-    assert load_catalog(str(path))[d].d == d
+    assert load_catalog(str(path))[str(d)]["d"] == d
 
 
 @pytest.mark.parametrize("text", ["", " \n\t\n"])
@@ -513,8 +548,11 @@ def _no_search(*args, **kwargs):
 
 def test_one_bad_entry_leaves_the_others_usable(tmp_path, contexts,
                                                 monkeypatch, caplog):
-    raw = {str(d): _unit_vector_entry(d, d) for d in (4, 5, 6, 7, 8)}
+    # the entries other than 3 and 6 are not SIC fiducials: never parsed,
+    # they are written back as stored
+    raw = {str(d): _unit_vector_entry(d, d) for d in (4, 5, 7, 8)}
     raw["3"] = fiducial_to_json(contexts[3].sic.fiducial)
+    raw["6"] = fiducial_to_json(contexts[6].sic.fiducial)
     raw["6"]["psi"] = raw["6"]["psi"][:-1]
     path = tmp_path / "cat.json"
     path.write_text(json.dumps(raw))
@@ -522,13 +560,64 @@ def test_one_bad_entry_leaves_the_others_usable(tmp_path, contexts,
     with caplog.at_level(logging.DEBUG, logger="sic_simplex"):
         fid = get_fiducial(3, catalog_path=str(path))
     np.testing.assert_array_equal(fid.psi, contexts[3].sic.fiducial.psi)
-    [refused] = [r for r in caplog.records if r.levelno >= logging.WARNING]
+    assert not [r for r in caplog.records if r.levelno >= logging.WARNING]
+    assert any("hit" in r.getMessage() for r in caplog.records)
+    caplog.clear()
+    monkeypatch.setattr(sic_povm, "find_fiducial",
+                        lambda d, seed=0: contexts[d].sic.fiducial)
+    with caplog.at_level(logging.WARNING, logger="sic_simplex"):
+        fid = get_fiducial(6, catalog_path=str(path))
+    [refused] = caplog.records
     assert "d=6:" in refused.getMessage()
     assert "(5, 2)" in refused.getMessage()
-    assert any("hit" in r.getMessage() for r in caplog.records)
+    stored = json.loads(path.read_text())
+    assert stored.pop("6") == fiducial_to_json(contexts[6].sic.fiducial)
+    del raw["6"]
+    assert stored == raw
+
+
+def test_entry_recorded_during_a_search_survives(tmp_path, contexts,
+                                                 monkeypatch):
+    # another writer records d = 4 while this process searches d = 3
+    path = str(tmp_path / "cat.json")
+    search = sic_povm.find_fiducial
+
+    def racing_search(d, seed=0):
+        record_fiducial(contexts[4].sic.fiducial, path)
+        return search(d, seed=seed)
+
+    monkeypatch.setattr(sic_povm, "find_fiducial", racing_search)
+    get_fiducial(3, seed=1, catalog_path=path)
+    assert sorted(load_catalog(path)) == ["3", "4"]
+
+
+def test_other_entries_come_back_unchanged(tmp_path, contexts):
+    fixture = pathlib.Path(__file__).parents[1] / "perfbench" / "fiducials.json"
+    raw = json.loads(fixture.read_text())
+    raw["7"]["note"] = "a field this version does not know"
+    path = tmp_path / "cat.json"
+    path.write_text(json.dumps(raw))
+    record_fiducial(contexts[5].sic.fiducial, str(path))
     record_fiducial(qubit_tetrahedron_fiducial(), str(path))
-    assert sorted(json.loads(path.read_text()), key=int) == [
-        "2", "3", "4", "5", "7", "8"]
+    stored = json.loads(path.read_text())
+    assert stored.pop("5") == fiducial_to_json(contexts[5].sic.fiducial)
+    assert stored.pop("2") == fiducial_to_json(qubit_tetrahedron_fiducial())
+    del raw["5"]
+    assert stored == raw
+
+
+def test_catalog_backed_context_forms_one_orbit(tmp_path, contexts,
+                                                monkeypatch):
+    path = tmp_path / "cat.json"
+    path.write_text(json.dumps(
+        {"3": fiducial_to_json(contexts[3].sic.fiducial)}))
+    orbits = _count_calls(monkeypatch, "wh_orbit")
+    residuals = _count_calls(monkeypatch, "sic_residual")
+    ctx = build_context(3, catalog_path=str(path))
+    np.testing.assert_array_equal(ctx.sic.fiducial.psi,
+                                  contexts[3].sic.fiducial.psi)
+    assert len(orbits) == 1
+    assert len(residuals) == 1
 
 
 def _bad_entries():
@@ -538,8 +627,9 @@ def _bad_entries():
     unnormalized["psi"][0] = [2.0, 0.0]
     return [
         ("3", [1, 2], "not a JSON object"),
-        ("x", _unit_vector_entry(3, 0), "invalid literal"),
-        ("05", _unit_vector_entry(5, 0), "not written as a dimension"),
+        ("3", None, "not a JSON object"),
+        ("x", _unit_vector_entry(3, 0), None),
+        ("05", _unit_vector_entry(5, 0), None),
         ("3", {"d": 3}, "no psi field"),
         ("3", {**_unit_vector_entry(3, 0), "d": None}, "NoneType"),
         ("3", truncated, "(2, 2) for d=3"),
@@ -550,7 +640,7 @@ def _bad_entries():
 
 @pytest.mark.parametrize(
     "key, entry, reason", _bad_entries(),
-    ids=["entry-not-an-object", "key-not-a-dimension",
+    ids=["entry-not-an-object", "entry-null", "key-not-a-dimension",
          "key-shadowing-another", "missing-field",
          "d-not-a-number", "truncated-psi", "unnormalized-psi",
          "other-dimension"])
@@ -559,17 +649,28 @@ def test_bad_catalog_entry_is_refused_alone(key, entry, reason, tmp_path,
     path = tmp_path / "cat.json"
     path.write_text(json.dumps(
         {key: entry, "5": fiducial_to_json(contexts[5].sic.fiducial)}))
+    # a lookup of another d never parses the bad entry ("05" cannot shadow
+    # "5"), and a write keeps it as stored
+    monkeypatch.setattr(sic_povm, "find_fiducial", _no_search)
     with caplog.at_level(logging.WARNING, logger="sic_simplex"):
-        assert list(load_catalog(str(path))) == [5]
+        np.testing.assert_array_equal(
+            get_fiducial(5, catalog_path=str(path)).psi,
+            contexts[5].sic.fiducial.psi)
+        record_fiducial(qubit_tetrahedron_fiducial(), str(path))
+    assert not caplog.records
+    stored = json.loads(path.read_text())
+    assert sorted(stored) == sorted([key, "2", "5"])
+    assert stored[key] == entry
+    if reason is None:
+        return
+    # the entry's own lookup refuses it with one WARNING and its reason
+    monkeypatch.setattr(sic_povm, "find_fiducial",
+                        lambda d, seed=0: contexts[d].sic.fiducial)
+    with caplog.at_level(logging.WARNING, logger="sic_simplex"):
+        get_fiducial(int(key), catalog_path=str(path))
     [refused] = caplog.records
     assert f"d={key}:" in refused.getMessage()
     assert reason in refused.getMessage()
-    monkeypatch.setattr(sic_povm, "find_fiducial", _no_search)
-    np.testing.assert_array_equal(
-        get_fiducial(5, catalog_path=str(path)).psi,
-        contexts[5].sic.fiducial.psi)
-    record_fiducial(qubit_tetrahedron_fiducial(), str(path))
-    assert sorted(json.loads(path.read_text())) == ["2", "5"]
 
 
 @pytest.mark.parametrize("seed", range(10))
