@@ -1,8 +1,9 @@
 """Command-line interface: geometry reports, fiducial search, identity
 verification, representation conversion and tomography simulation.
 
-Exit code 0 means every internal tolerance check passed; output files are
-deterministic functions of the flags (including --seed).
+Exit status: 0 when every check passed, 1 when a check failed or `find-sic`
+did not converge, 2 on bad input.  Output files are deterministic functions
+of the flags (including --seed).
 """
 
 import argparse
@@ -16,8 +17,8 @@ import sys
 import numpy as np
 
 from . import bloch, state_simplex
-from .sic_povm import (DEFAULT_TARGET_RESIDUAL, fiducial_from_json,
-                       fiducial_to_json, find_fiducial, record_fiducial)
+from .sic_povm import (fiducial_from_json, fiducial_to_json, find_fiducial,
+                       record_fiducial)
 from .simplex_geometry import to_probabilities
 from .state_simplex import (build_context, geometry_report, report_to_json,
                             sample_blocks, simulate_tomography,
@@ -67,6 +68,16 @@ def _load_json(path: str) -> dict:
         return json.load(fh)
 
 
+def _load_state_file(path: str) -> tuple[dict, int]:
+    """A state file's JSON object and its "d": an int >= 2, not a bool."""
+    obj = _load_json(path)
+    d = obj.get("d") if isinstance(obj, dict) else None
+    if type(d) is not int or d < 2:
+        raise ValueError('input file must be a JSON object whose "d" is an '
+                         "integer >= 2")
+    return obj, d
+
+
 def _context(d: int, args) -> state_simplex.QuantumSimplexContext:
     fid = None
     if getattr(args, "fiducial", None):
@@ -88,8 +99,7 @@ def _cmd_geometry(args) -> int:
 
 
 def _cmd_find_sic(args) -> int:
-    fid = find_fiducial(args.d, seed=args.seed, restarts=args.restarts,
-                        target_residual=args.target_residual)
+    fid = find_fiducial(args.d, seed=args.seed, restarts=args.restarts)
     _write_json(fiducial_to_json(fid), args.out)
     print(f"d={args.d} residual={fid.residual:.6e} "
           f"{'converged' if fid.converged else 'NOT CONVERGED'}")
@@ -172,10 +182,7 @@ def _read_state_file(obj: dict, ctx) -> np.ndarray:
 
 
 def _cmd_convert(args) -> int:
-    obj = _load_json(args.infile)
-    d = int(obj["d"])
-    if d < 2:
-        raise ValueError(f"dimension must be >= 2, got {d}")
+    obj, d = _load_state_file(args.infile)
     ctx = _context(d, args)
     s = _read_state_file(obj, ctx)
     if args.to == "rho":
@@ -192,8 +199,7 @@ def _cmd_convert(args) -> int:
 
 
 def _cmd_tomography(args) -> int:
-    obj = _load_json(args.infile)
-    d = int(obj["d"])
+    obj, d = _load_state_file(args.infile)
     ctx = _context(d, args)
     if "rho" in obj:
         rho = bloch.state_from_json(obj)
@@ -232,10 +238,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--restarts", type=int, metavar="N",
                    default=inspect.signature(find_fiducial)
                    .parameters["restarts"].default,
-                   help="run at most N restarts; the first that meets the "
-                        "target residual ends the search (default: %(default)s)")
-    p.add_argument("--target-residual", type=float,
-                   default=DEFAULT_TARGET_RESIDUAL)
+                   help="run at most N restarts; the first converged one "
+                        "ends the search (default: %(default)s)")
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_find_sic)
 

@@ -11,11 +11,11 @@ numerically by driving the frame potential
 
 to zero with a multi-start Gauss-Newton iteration on the unit
 sphere.  Each restart stops once its worst deviation reaches the roundoff
-floor; the first restart that meets the target residual wins and ends the
-search, else the smallest residual wins.  For d = 2 an exact fiducial
-(Bloch direction (1,1,1)/sqrt(3), the regular tetrahedron) is built in.
-A fiducial's residual is always recomputed from its vector, never taken
-from storage.
+floor; the first converged restart wins and ends the search, else the
+smallest residual wins.  For d = 2 an exact fiducial (Bloch direction
+(1,1,1)/sqrt(3), the regular tetrahedron) is built in.  A fiducial's
+residual, and whether it has converged (residual <= DEFAULT_TARGET_RESIDUAL),
+are always recomputed from its vector, never taken from storage.
 """
 
 import contextlib
@@ -33,6 +33,7 @@ from .su_basis import SuBasis
 
 # fiducials worse than this are refused by build_sic
 MAX_BUILD_RESIDUAL = 1e-6
+# a fiducial has converged when its residual is at or below this
 DEFAULT_TARGET_RESIDUAL = 1e-10
 # a restart whose worst deviation max|w_D| is at or below this has nothing
 # left to gain: it sits at roundoff, four decades under the default target
@@ -51,11 +52,11 @@ class Fiducial:
     """Unit vector whose displacement orbit is (close to) a SIC.
 
     `source` records provenance ("builtin", "search" or "manual"); for
-    searches, `seed`/`config` pin the run and `converged` records whether
-    the target residual was reached.  Frozen, with a read-only copy of
-    `psi` (the caller's array is left as it was), so `d`, the `orbit` and
-    its `residual` (worst overlap deviation, see `sic_residual`) are read
-    off `psi` and cannot disagree with it; the orbit and residual are
+    searches, `seed`/`config` pin the run.  Frozen, with a read-only copy
+    of `psi` (the caller's array is left as it was), so `d`, the `orbit`,
+    its `residual` (worst overlap deviation, see `sic_residual`) and
+    `converged` (residual <= DEFAULT_TARGET_RESIDUAL, False for NaN) are
+    read off `psi` and cannot disagree with it; the orbit and residual are
     computed on first use and cached.  Compared by identity.
     """
 
@@ -63,7 +64,6 @@ class Fiducial:
     source: str = "manual"
     seed: int | None = None
     config: dict | None = None
-    converged: bool | None = None
 
     def __post_init__(self):
         psi = np.array(self.psi, dtype=complex)
@@ -83,6 +83,10 @@ class Fiducial:
     @functools.cached_property
     def residual(self) -> float:
         return sic_residual(self.orbit)
+
+    @property
+    def converged(self) -> bool:
+        return self.residual <= DEFAULT_TARGET_RESIDUAL
 
 
 @dataclass
@@ -140,7 +144,7 @@ def qubit_tetrahedron_fiducial() -> Fiducial:
     cos_theta = 1.0 / np.sqrt(3.0)
     psi = np.array([np.sqrt((1.0 + cos_theta) / 2.0),
                     np.exp(1j * np.pi / 4.0) * np.sqrt((1.0 - cos_theta) / 2.0)])
-    return Fiducial(psi=psi, source="builtin", converged=True)
+    return Fiducial(psi=psi, source="builtin")
 
 
 # ---------------------------------------------------------------------------
@@ -157,9 +161,9 @@ def qubit_tetrahedron_fiducial() -> Fiducial:
 # random start, renormalizing to the unit sphere after every step; near a
 # zero of phi it converges quadratically to the machine floor, and it stops
 # once max|w_D| <= POLISH_FLOOR.  max|w_D| is the orbit's sic_residual up to
-# roundoff, so a restart that stops there has already met the target.  The
-# restarts run one at a time: the first whose orbit residual meets the target
-# ends the search, and only when none does is the smallest residual kept.
+# roundoff, so a restart that stops there has already converged.  The
+# restarts run one at a time: the first converged one ends the search, and
+# only when none converges is the smallest residual kept.
 # ---------------------------------------------------------------------------
 
 def _deviations(disp: np.ndarray, psi: np.ndarray, target: float):
@@ -214,18 +218,16 @@ def _polish(disp, psi, target):
     return psi, iters, float(np.max(np.abs(w)))
 
 
-def find_fiducial(d: int, seed: int = 0, restarts: int = 10,
-                  target_residual: float = DEFAULT_TARGET_RESIDUAL) -> Fiducial:
+def find_fiducial(d: int, seed: int = 0, restarts: int = 10) -> Fiducial:
     """Multi-start frame-potential minimization over unit vectors in C^d.
 
     The restarts run one at a time, each polishing one random complex
-    Gaussian start (see `_polish`), and `restarts` is an upper bound: the
-    first restart whose orbit residual meets `target_residual` wins and ends
-    the search.  When none does, the smallest residual wins (ties by lowest
-    restart index, NaN last), and the fiducial is still returned with
-    `converged = False` rather than raising.  The result is deterministic in
-    (d, seed, restarts, target_residual).  Each restart logs one DEBUG
-    record on the "sic_simplex" logger.
+    Gaussian start (see `_polish`) into a `Fiducial`, and `restarts` is an
+    upper bound: the first converged restart wins and ends the search.
+    When none converges, the smallest residual wins (ties by lowest restart
+    index, NaN last), and it is returned unconverged rather than raising.
+    The result is deterministic in (d, seed, restarts).  Each restart logs
+    one DEBUG record on the "sic_simplex" logger.
     """
     if d < 2:
         raise ValueError(f"need d >= 2, got d={d}")
@@ -234,28 +236,22 @@ def find_fiducial(d: int, seed: int = 0, restarts: int = 10,
     rng = np.random.default_rng(seed)
     disp = displacement_operators(d)
     target = 1.0 / (d + 1.0)
-    psis, residuals = [], []
+    config = {"restarts": restarts, "target_residual": DEFAULT_TARGET_RESIDUAL}
+    fids = []
     for restart in range(restarts):
         start = rng.normal(size=d) + 1j * rng.normal(size=d)
         t0 = time.perf_counter()
         psi, iterations, max_dev = _polish(disp[1:], start, target)
-        psis.append(psi)
-        residuals.append(sic_residual(wh_orbit(psi)))
-        done = residuals[-1] <= target_residual
+        fid = Fiducial(psi=psi, source="search", seed=seed, config=config)
+        fids.append(fid)
         log.debug("search restart d=%d restart=%d iterations=%d "
                   "max_dev=%.3e residual=%.3e wall_ms=%.3f ended_search=%s",
-                  d, restart, iterations, max_dev, residuals[-1],
-                  1e3 * (time.perf_counter() - t0), done)
-        if done:
-            break
-    # every earlier restart missed the target, so a converged last restart
-    # is also the smallest residual; NaN ranks last, and when all are NaN
-    # the first restart stands
-    residuals = np.array(residuals)
-    best = int(np.argmin(np.where(np.isnan(residuals), np.inf, residuals)))
-    config = {"restarts": restarts, "target_residual": target_residual}
-    return Fiducial(psi=psis[best], source="search", seed=seed, config=config,
-                    converged=bool(residuals[best] <= target_residual))
+                  d, restart, iterations, max_dev, fid.residual,
+                  1e3 * (time.perf_counter() - t0), fid.converged)
+        if fid.converged:
+            return fid
+    # NaN last; min keeps the earliest of equal keys (all NaN: the first)
+    return min(fids, key=lambda f: (np.isnan(f.residual), f.residual))
 
 
 def build_sic(fid: Fiducial, basis: SuBasis) -> SicPovm:
@@ -303,7 +299,7 @@ def fiducial_to_json(fid: Fiducial) -> dict:
 
 
 def fiducial_from_json(obj: dict) -> Fiducial:
-    """Fiducial from a catalog entry; its "residual" field is not read."""
+    """Fiducial from a catalog entry; "residual" and "converged" go unread."""
     if not isinstance(obj, dict):
         raise ValueError(f"fiducial entry is not a JSON object: {obj!r:.40}")
     missing = sorted({"d", "psi"} - obj.keys())
@@ -318,8 +314,7 @@ def fiducial_from_json(obj: dict) -> Fiducial:
     if not abs(nrm - 1.0) <= 1e-12:
         raise ValueError(f"fiducial vector norm {nrm!r} != 1")
     return Fiducial(psi=psi, source=obj.get("source", "manual"),
-                    seed=obj.get("seed"), config=obj.get("config"),
-                    converged=obj.get("converged"))
+                    seed=obj.get("seed"), config=obj.get("config"))
 
 
 def load_catalog(path: str) -> dict:
@@ -365,18 +360,14 @@ def save_catalog(catalog: dict, path: str) -> None:
 def record_fiducial(fid: Fiducial, path: str | None = None) -> None:
     """Persist a search result into the catalog at `path`, best effort.
 
-    Only what a lookup would accept is written: a converged fiducial whose
-    orbit residual meets `DEFAULT_TARGET_RESIDUAL` (else one WARNING when it
-    claims convergence).  The file is re-read just before the write, and
-    every other entry goes back as stored, including ones `get_fiducial`
-    would refuse.  An unreadable file is replaced by a catalog holding only
-    this entry, and a failed write is logged, each with one WARNING.
+    Only a converged fiducial is written, the rule a lookup applies; an
+    unconverged one is dropped silently.  The file is re-read just before
+    the write, and every other entry goes back as stored, including ones
+    `get_fiducial` would refuse.  An unreadable file is replaced by a
+    catalog holding only this entry, and a failed write is logged, each
+    with one WARNING.
     """
     if not fid.converged:
-        return
-    if not fid.residual <= DEFAULT_TARGET_RESIDUAL:
-        log.warning("not recording d=%d fiducial: residual %.3e",
-                    fid.d, fid.residual)
         return
     path = path or default_catalog_path()
     try:
@@ -396,9 +387,9 @@ def get_fiducial(d: int, seed: int = 0,
     """Resolve a fiducial: builtin (d = 2), then catalog, then fresh search.
 
     Only the catalog entry for d is parsed.  It is used if it is a
-    well-formed fiducial of dimension d whose orbit residual meets
-    `DEFAULT_TARGET_RESIDUAL`; else it is refused with one WARNING naming d
-    and the reason, and a new search runs and is recorded (best effort, see
+    well-formed, converged fiducial of dimension d (a stored "converged" is
+    not read); else it is refused with one WARNING naming d and the reason,
+    and a new search runs and is recorded (best effort, see
     `record_fiducial`).  Catalog decisions go to the "sic_simplex" logger.
     """
     if d == 2:
@@ -414,7 +405,7 @@ def get_fiducial(d: int, seed: int = 0,
             cached = fiducial_from_json(catalog[str(d)])
             if cached.d != d:
                 raise ValueError(f"it holds a d={cached.d} vector")
-            if not cached.residual <= DEFAULT_TARGET_RESIDUAL:
+            if not cached.converged:
                 raise ValueError(f"residual {cached.residual:.3e}")
         except (ValueError, TypeError, OverflowError) as exc:
             log.warning("refused catalog entry for d=%d: %s", d, exc)

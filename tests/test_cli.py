@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from sic_simplex import bloch, cli
+from sic_simplex import bloch, cli, sic_povm
 from sic_simplex.cli import build_parser, main
 from sic_simplex.sic_povm import (DEFAULT_TARGET_RESIDUAL, find_fiducial,
                                   fiducial_to_json, qubit_tetrahedron_fiducial)
@@ -50,14 +50,29 @@ def test_find_sic_converges_and_is_deterministic(tmp_path):
     obj = _read_json(out_a)
     assert obj["residual"] < 1e-10
     assert obj["converged"] is True
+    assert obj["config"] == {"restarts": 10,
+                             "target_residual": DEFAULT_TARGET_RESIDUAL}
 
 
 def test_find_sic_defaults_are_the_search_defaults():
     args = build_parser().parse_args(["find-sic", "--d", "3"])
     search = inspect.signature(find_fiducial).parameters
     assert args.restarts == search["restarts"].default
-    assert args.target_residual == search["target_residual"].default
-    assert args.target_residual == DEFAULT_TARGET_RESIDUAL
+    assert sorted(search) == ["d", "restarts", "seed"]
+    # the convergence target is fixed, not a flag
+    assert main(["find-sic", "--d", "3", "--target-residual", "1e-8"]) == 2
+
+
+def test_find_sic_unconverged_exits_1_and_records_nothing(tmp_path,
+                                                          monkeypatch):
+    catalog = tmp_path / "cat.json"
+    monkeypatch.setenv("SIC_SIMPLEX_CATALOG", str(catalog))
+    monkeypatch.setattr(sic_povm, "DEFAULT_TARGET_RESIDUAL", 1e-20)
+    out = tmp_path / "f.json"
+    assert main(["find-sic", "--d", "3", "--restarts", "2",
+                 "--out", str(out)]) == 1
+    assert _read_json(out)["converged"] is False
+    assert not catalog.exists()
 
 
 def test_find_sic_d3(tmp_path):
@@ -201,6 +216,21 @@ def test_console_entry_point():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["m_pure"] == 2
+
+
+@pytest.mark.parametrize(
+    "text", ['{"d": null, "bloch": [0, 0, 0]}', '[1, 2]',
+             '{"d": [3], "bloch": [0, 0, 0]}',
+             '{"d": 3.7, "bloch": [0, 0, 0, 0, 0, 0, 0, 0]}'],
+    ids=["d-null", "top-level-list", "d-list", "d-float"])
+@pytest.mark.parametrize("command", [["convert", "--to", "point"],
+                                     ["tomography", "--shots", "10"]])
+def test_malformed_dimension_is_bad_input(command, text, tmp_path, capsys):
+    state = tmp_path / "state.json"
+    state.write_text(text)
+    assert main(command + ["--in", str(state)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
 
 
 def test_missing_input_file_is_an_error(tmp_path):

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import json
 import logging
 import pathlib
@@ -121,10 +122,11 @@ def test_search_determinism():
     assert a.residual == b.residual
 
 
-def test_search_reports_failure_without_raising():
+def test_search_reports_failure_without_raising(monkeypatch):
     # machine precision cannot reach 1e-20, so this must come back
     # unconverged but still carry the best fiducial found
-    fid = find_fiducial(3, seed=0, restarts=2, target_residual=1e-20)
+    monkeypatch.setattr(sic_povm, "DEFAULT_TARGET_RESIDUAL", 1e-20)
+    fid = find_fiducial(3, seed=0, restarts=2)
     assert fid.converged is False
     assert fid.residual < 1e-8
     assert fid.psi is not None
@@ -147,7 +149,7 @@ def test_build_sic_refuses_nan_residual():
 
 def test_fiducial_is_frozen_and_read_only():
     psi = qubit_tetrahedron_fiducial().psi.copy()
-    fid = Fiducial(psi=psi, source="builtin", converged=True)
+    fid = Fiducial(psi=psi, source="builtin")
     with pytest.raises(ValueError):
         fid.psi[0] = 0.0
     with pytest.raises(ValueError):
@@ -234,12 +236,13 @@ def test_fiducial_json_rejects_nan_entry():
 
 
 def test_fiducial_json_keeps_converged():
+    # written for readers of the file, but read back off "psi" alone
     fid = find_fiducial(3, seed=5, restarts=2)
     obj = fiducial_to_json(fid)
     assert obj["converged"] is True
     assert fiducial_from_json(obj).converged is True
     del obj["converged"]
-    assert fiducial_from_json(obj).converged is None
+    assert fiducial_from_json(obj).converged is True
 
 
 def test_failed_catalog_write_keeps_previous_file(tmp_path):
@@ -258,25 +261,27 @@ def test_failed_catalog_write_keeps_previous_file(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cat.json"]
 
 
-def test_record_fiducial_only_keeps_converged(tmp_path):
+def test_record_fiducial_only_keeps_converged(tmp_path, monkeypatch):
     path = str(tmp_path / "cat.json")
-    fid = find_fiducial(3, seed=0, restarts=2, target_residual=1e-20)
+    monkeypatch.setattr(sic_povm, "DEFAULT_TARGET_RESIDUAL", 1e-20)
+    fid = find_fiducial(3, seed=0, restarts=2)
     record_fiducial(fid, path)
     assert load_catalog(path) == {}
-    record_fiducial(dataclasses.replace(fid, converged=True), path)
+    monkeypatch.undo()
+    assert fid.converged
+    record_fiducial(fid, path)
     assert load_catalog(path)["3"]["converged"] is True
 
 
 def test_record_fiducial_refuses_what_a_lookup_would_refuse(tmp_path, caplog):
-    # claims convergence, but Z|0> = |0> puts an overlap 3/4 off 1/4
+    # the entry claims convergence, which is not read: the vector's own
+    # residual refuses it, silently, as the lookup does
     path = tmp_path / "cat.json"
-    fid = Fiducial(psi=[1, 0, 0], source="search", converged=True)
-    with caplog.at_level(logging.WARNING, logger="sic_simplex"):
+    fid = fiducial_from_json(_non_sic_entry())
+    with caplog.at_level(logging.DEBUG, logger="sic_simplex"):
         record_fiducial(fid, str(path))
     assert not path.exists()
-    [record] = caplog.records
-    assert "d=3" in record.getMessage()
-    assert "7.500e-01" in record.getMessage()
+    assert not caplog.records
 
 
 def test_catalog_roundtrip(tmp_path):
@@ -337,6 +342,23 @@ def _non_sic_entry():
     # claims a perfect residual, but Z|0> = |0> puts an overlap 3/4 off 1/4
     return {"d": 3, "psi": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]],
             "residual": 0.0, "source": "search", "converged": True}
+
+
+def test_stored_converged_is_never_trusted(tmp_path, monkeypatch, caplog):
+    assert fiducial_from_json(_non_sic_entry()).converged is False
+    # a true fiducial that claims it did not converge is a silent hit
+    fixture = pathlib.Path(__file__).parents[1] / "perfbench" / "fiducials.json"
+    entry = json.loads(fixture.read_text())["3"]
+    entry["converged"] = False
+    assert fiducial_from_json(entry).converged is True
+    path = tmp_path / "cat.json"
+    path.write_text(json.dumps({"3": entry}))
+    monkeypatch.setattr(sic_povm, "find_fiducial", _no_search)
+    with caplog.at_level(logging.DEBUG, logger="sic_simplex"):
+        fid = get_fiducial(3, catalog_path=str(path))
+    assert fid.converged
+    assert [r.levelno for r in caplog.records] == [logging.DEBUG]
+    assert "hit" in caplog.records[0].getMessage()
 
 
 def test_stored_residual_is_never_trusted(tmp_path):
@@ -448,7 +470,8 @@ def test_first_converged_restart_ends_the_search(monkeypatch):
 
 def test_unmet_target_runs_every_restart(monkeypatch):
     calls = _count_calls(monkeypatch, "_polish")
-    fid = find_fiducial(3, seed=0, restarts=2, target_residual=1e-20)
+    monkeypatch.setattr(sic_povm, "DEFAULT_TARGET_RESIDUAL", 1e-20)
+    fid = find_fiducial(3, seed=0, restarts=2)
     assert fid.converged is False
     assert len(calls) == 2
 
@@ -461,7 +484,7 @@ def _restart_records(caplog):
     return out
 
 
-def test_search_logs_one_record_per_restart(caplog):
+def test_search_logs_one_record_per_restart(caplog, monkeypatch):
     caplog.set_level(logging.DEBUG, logger="sic_simplex")
     find_fiducial(5, seed=1)
     [winner] = _restart_records(caplog)
@@ -473,7 +496,8 @@ def test_search_logs_one_record_per_restart(caplog):
     assert float(winner["wall_ms"]) > 0.0
     assert winner["ended_search"] == "True"
     caplog.clear()
-    find_fiducial(3, seed=0, restarts=2, target_residual=1e-20)
+    monkeypatch.setattr(sic_povm, "DEFAULT_TARGET_RESIDUAL", 1e-20)
+    find_fiducial(3, seed=0, restarts=2)
     records = _restart_records(caplog)
     assert [r["restart"] for r in records] == ["0", "1"]
     assert [r["ended_search"] for r in records] == ["False", "False"]
@@ -618,6 +642,29 @@ def test_catalog_backed_context_forms_one_orbit(tmp_path, contexts,
                                   contexts[3].sic.fiducial.psi)
     assert len(orbits) == 1
     assert len(residuals) == 1
+
+
+@pytest.mark.parametrize("d", [3, 5, 7])
+def test_cold_context_certifies_each_restart_once(d, tmp_path, monkeypatch):
+    # the search's residual is the one build_sic and the catalog write read
+    path = tmp_path / "cat.json"
+    path.write_text("")
+    orbits = _count_calls(monkeypatch, "wh_orbit")
+    residuals = _count_calls(monkeypatch, "sic_residual")
+    build_context(d, seed=1, catalog_path=str(path))
+    assert (len(orbits), len(residuals)) == (1, 1)
+    assert str(d) in load_catalog(str(path))
+    # a search that misses: one orbit per restart, the winner's reused
+    orbits.clear()
+    residuals.clear()
+    monkeypatch.setattr(sic_povm, "DEFAULT_TARGET_RESIDUAL", 1e-20)
+    monkeypatch.setattr(sic_povm, "find_fiducial",
+                        functools.partial(sic_povm.find_fiducial, restarts=3))
+    path.write_text("")
+    ctx = build_context(d, seed=1, catalog_path=str(path))
+    assert not ctx.sic.fiducial.converged
+    assert (len(orbits), len(residuals)) == (3, 3)
+    assert load_catalog(str(path)) == {}
 
 
 def _bad_entries():
