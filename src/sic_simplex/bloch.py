@@ -8,6 +8,9 @@ d**2 - 1 through
 with sigma_a the su(d) basis from `su_basis`.  Under this normalization a
 pure state has |r|^2 = (d-1)/(d+1) and satisfies the star-product condition
 r * r = (d-2) sqrt(2/(d(d+1))) r.
+
+The JSON form of states lives in `cli`, the one reader and writer of state
+files.
 """
 
 import math
@@ -160,30 +163,3 @@ def random_pure_state(d: int, seed, size: int | None = None) -> np.ndarray:
     psi = psi / np.sqrt(norm2[..., 0])
     return psi[..., :, None] * psi.conj()[..., None, :]
 
-
-def state_to_json(rho: np.ndarray) -> dict:
-    """Serialize as { "d": ..., "rho": [[[re, im], ...], ...] }."""
-    rho = np.asarray(rho, dtype=complex)
-    return {"d": rho.shape[0],
-            "rho": [[[float(z.real), float(z.imag)] for z in row] for row in rho]}
-
-
-def state_from_json(obj: dict) -> np.ndarray:
-    arr = np.array(obj["rho"], dtype=float)
-    d = int(obj["d"])
-    if arr.shape != (d, d, 2):
-        raise ValueError(f"malformed rho entry: shape {arr.shape} for d={d}")
-    return arr[..., 0] + 1j * arr[..., 1]
-
-
-def bloch_to_json(r: np.ndarray, d: int) -> dict:
-    """Serialize as { "d": ..., "bloch": [r_1, ...] }."""
-    return {"d": d, "bloch": [float(x) for x in np.asarray(r, dtype=float)]}
-
-
-def bloch_from_json(obj: dict):
-    r = np.array(obj["bloch"], dtype=float)
-    d = int(obj["d"])
-    if r.shape != (d * d - 1,):
-        raise ValueError(f"bloch vector of length {r.shape} does not match d={d}")
-    return r, d

@@ -1,6 +1,12 @@
 """Command-line interface: geometry reports, fiducial search, identity
 verification, representation conversion and tomography simulation.
 
+State files are JSON objects {"d": d, key: value} holding exactly one of the
+representations rho, bloch, probabilities and point; `_read_state` and
+`_state_json` are their only reader and writer.  `convert` and `tomography`
+read and check the whole file before building a context, so a refused file
+never starts a fiducial search or writes the catalog.
+
 Exit status: 0 when every check passed, 1 when a check failed or `find-sic`
 did not converge, 2 on bad input.  Output files are deterministic functions
 of the flags (including --seed).
@@ -30,6 +36,8 @@ GEOMETRY_CSV_COLUMNS = ["d", "R_out", "R_in", "R_pure", "m_pure",
 VERIFY_CSV_COLUMNS = ["d", "R_out", "R_in", "R_pure", "m_pure",
                       "sum_p2_pure", "max_theorem_deviation"]
 TOMOGRAPHY_CSV_COLUMNS = ["shots", "trace_distance", "seed"]
+# the representations a state file may hold, exactly one per file
+STATE_KEYS = ("rho", "bloch", "probabilities", "point")
 
 
 def _dim(value: str) -> int:
@@ -68,14 +76,45 @@ def _load_json(path: str) -> dict:
         return json.load(fh)
 
 
-def _load_state_file(path: str) -> tuple[dict, int]:
-    """A state file's JSON object and its "d": an int >= 2, not a bool."""
+def _read_state(path: str) -> tuple[int, str, np.ndarray]:
+    """A state file's (d, key, value), checked in full before any context
+    is built: a JSON object whose "d" is an int >= 2 (not a bool), holding
+    exactly one of `STATE_KEYS` (other keys are ignored) whose value is a
+    finite real array of shape (d, d, 2) for rho, (d**2,) for probabilities
+    and (d**2 - 1,) otherwise.  A rho value is returned as a complex matrix.
+    """
     obj = _load_json(path)
     d = obj.get("d") if isinstance(obj, dict) else None
     if type(d) is not int or d < 2:
         raise ValueError('input file must be a JSON object whose "d" is an '
                          "integer >= 2")
-    return obj, d
+    keys = [k for k in STATE_KEYS if k in obj]
+    if len(keys) != 1:
+        raise ValueError("input file must contain exactly one of: "
+                         + ", ".join(STATE_KEYS))
+    key = keys[0]
+    try:
+        value = np.array(obj[key], dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"{key} entry is not an array of numbers") from None
+    shape = {"rho": (d, d, 2), "probabilities": (d * d,)}.get(key, (d * d - 1,))
+    if value.shape != shape:
+        raise ValueError(f"{key} entry has shape {value.shape}, expected "
+                         f"{shape} for d={d}")
+    if not np.all(np.isfinite(value)):
+        raise ValueError(f"{key} entry is not finite")
+    if key == "rho":
+        value = value[..., 0] + 1j * value[..., 1]
+    return d, key, value
+
+
+def _state_json(d: int, key: str, value: np.ndarray) -> dict:
+    """A state file's object: rho as [[[re, im], ...], ...], any other
+    representation as a list of floats."""
+    if key == "rho":
+        return {"d": d, key: [[[float(z.real), float(z.imag)] for z in row]
+                              for row in value]}
+    return {"d": d, key: [float(x) for x in value]}
 
 
 def _context(d: int, args) -> state_simplex.QuantumSimplexContext:
@@ -123,16 +162,12 @@ def _verify_one(d: int, args) -> dict:
             np.einsum('ka,ka->k', s, s) - target_norm2)))
         p2_dev = np.maximum(p2_dev, np.max(np.abs(
             np.einsum('ki,ki->k', p, p) - target_p2)))
-    rep = geometry_report(d)
+    geo = report_to_json(geometry_report(d))
     return {
-        "d": d,
+        # d and the geometry fields of the CSV columns
+        **{k: geo[k] for k in VERIFY_CSV_COLUMNS if k in geo},
         "samples": args.samples,
         "seed": args.seed,
-        "R_out": rep.r_out,
-        "R_in": rep.r_in,
-        "R_pure": rep.r_pure,
-        "m_pure": rep.m_pure,
-        "sum_p2_pure": rep.sum_p2_pure,
         "max_theorem_deviation": theorem_dev,
         "max_pure_norm_deviation": float(norm_dev),
         "max_pure_sum_p2_deviation": float(p2_dev),
@@ -162,52 +197,33 @@ def _cmd_verify(args) -> int:
     return 0 if all(r["passed"] for r in results) else 1
 
 
-def _read_state_file(obj: dict, ctx) -> np.ndarray:
-    """Any of the four representations -> Bloch vector / simplex point."""
-    if "rho" in obj:
-        return bloch.to_bloch(bloch.state_from_json(obj), ctx.basis)
-    if "bloch" in obj:
-        r, _ = bloch.bloch_from_json(obj)
-        return r
-    if "probabilities" in obj:
-        p = np.array(obj["probabilities"], dtype=float)
-        return probabilities_to_point(p, ctx)
-    if "point" in obj:
-        s = np.array(obj["point"], dtype=float)
-        if s.shape != (ctx.d ** 2 - 1,):
-            raise ValueError(f"point length {s.shape} does not match d={ctx.d}")
-        return s
-    raise ValueError(
-        "input file must contain one of: rho, bloch, probabilities, point")
-
-
 def _cmd_convert(args) -> int:
-    obj, d = _load_state_file(args.infile)
+    d, key, value = _read_state(args.infile)
     ctx = _context(d, args)
-    s = _read_state_file(obj, ctx)
+    # the simplex point doubles as the Bloch vector
+    if key == "rho":
+        s = bloch.to_bloch(value, ctx.basis)
+    elif key == "probabilities":
+        s = probabilities_to_point(value, ctx)
+    else:
+        s = value
     if args.to == "rho":
-        out = bloch.state_to_json(point_to_state(s, ctx))
-    elif args.to == "bloch":
-        out = bloch.bloch_to_json(s, d)
+        out = _state_json(d, "rho", point_to_state(s, ctx))
     elif args.to == "probabilities":
         p, inside = to_probabilities(s, ctx.frame)
-        out = {"d": d, "probabilities": [float(x) for x in p], "inside": inside}
+        out = {**_state_json(d, "probabilities", p), "inside": inside}
     else:
-        out = {"d": d, "point": [float(x) for x in s]}
+        out = _state_json(d, args.to, s)
     _write_json(out, args.out)
     return 0
 
 
 def _cmd_tomography(args) -> int:
-    obj, d = _load_state_file(args.infile)
-    ctx = _context(d, args)
-    if "rho" in obj:
-        rho = bloch.state_from_json(obj)
-    elif "bloch" in obj:
-        r, _ = bloch.bloch_from_json(obj)
-        rho = point_to_state(r, ctx)
-    else:
+    d, key, value = _read_state(args.infile)
+    if key not in ("rho", "bloch"):
         raise ValueError("tomography input must contain rho or bloch")
+    ctx = _context(d, args)
+    rho = value if key == "rho" else point_to_state(value, ctx)
     bloch.validate_density_matrix(rho)
     result = simulate_tomography(rho, ctx, shots=args.shots, seed=args.seed)
     row = {"shots": result.shots, "trace_distance": result.trace_distance,
@@ -258,8 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("convert", help="convert between state representations")
-    p.add_argument("--to", choices=["rho", "bloch", "probabilities", "point"],
-                   required=True)
+    p.add_argument("--to", choices=STATE_KEYS, required=True)
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", default=None)
     p.add_argument("--seed", type=int, default=0)
@@ -284,7 +299,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

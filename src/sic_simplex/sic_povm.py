@@ -174,13 +174,12 @@ def _deviations(disp: np.ndarray, psi: np.ndarray, target: float):
     return d_psi, c, np.abs(c) ** 2 - target
 
 
-def _residuals_jacobian(disp, psi, target):
-    """Deviation vector w and its Jacobian 2 [Re h, Im h] wrt
-    (Re psi, Im psi), where h_D = dw_D/dpsi*."""
-    d_psi, c, w = _deviations(disp, psi, target)
+def _jacobian(disp, psi, d_psi, c):
+    """Jacobian 2 [Re h, Im h] of the deviations wrt (Re psi, Im psi), where
+    h_D = dw_D/dpsi*, from the D psi and c_D that `_deviations` returned."""
     ddag_psi = np.einsum('aji,j->ai', disp.conj(), psi)
     h = c.conj()[:, None] * d_psi + c[:, None] * ddag_psi
-    return w, 2.0 * np.hstack([h.real, h.imag])
+    return 2.0 * np.hstack([h.real, h.imag])
 
 
 def _polish(disp, psi, target):
@@ -188,13 +187,16 @@ def _polish(disp, psi, target):
     each step solves (J^T J + _RIDGE I) dx = -J^T w and takes the first of
     30 halvings of dx that decreases phi, renormalized.  Ends once max|w_D|
     <= POLISH_FLOOR, after MAX_POLISH_STEPS steps, when no halving helps or
-    when the solve fails.  Returns (psi, steps taken, final max|w_D|)."""
+    when the solve fails.  The start and each candidate are evaluated once,
+    and J is formed only at the points a step leaves, from the D psi and c_D
+    their evaluation carried.  Returns (psi, steps taken, final max|w_D|)."""
     psi = psi / np.linalg.norm(psi)
     d = psi.shape[0]
+    d_psi, c, w = _deviations(disp, psi, target)
     for iters in range(MAX_POLISH_STEPS):
-        w, jac = _residuals_jacobian(disp, psi, target)
         if np.max(np.abs(w)) <= POLISH_FLOOR:
             break
+        jac = _jacobian(disp, psi, d_psi, c)
         phi = float(np.sum(w ** 2))
         try:
             dx = np.linalg.solve(jac.T @ jac + _RIDGE * np.eye(2 * d),
@@ -205,13 +207,13 @@ def _polish(disp, psi, target):
         for _ in range(30):
             cand = psi + step
             cand /= np.linalg.norm(cand)
-            w_cand = _deviations(disp, cand, target)[2]
-            if np.sum(w_cand ** 2) < phi:
+            evaluated = _deviations(disp, cand, target)
+            if np.sum(evaluated[2] ** 2) < phi:
                 break
             step *= 0.5
         else:
             break
-        psi, w = cand, w_cand
+        psi, (d_psi, c, w) = cand, evaluated
     else:
         iters = MAX_POLISH_STEPS
     # w is the deviation vector of psi on every exit

@@ -6,8 +6,7 @@ from hypothesis import strategies as st
 from sic_simplex import bloch
 from sic_simplex.bloch import (from_bloch, to_bloch, is_state, is_pure,
                                random_density_matrix, random_pure_state,
-                               validate_density_matrix, state_to_json,
-                               state_from_json, bloch_to_json, bloch_from_json)
+                               validate_density_matrix)
 from sic_simplex.su_basis import build_su_basis, structure_constants
 
 BASES = {d: build_su_basis(d) for d in (2, 3, 4, 5)}
@@ -281,24 +280,6 @@ def test_validate_density_matrix_rejects():
         validate_density_matrix(np.diag([1.5, -0.5]))                # negative eig
     with pytest.raises(ValueError):
         validate_density_matrix(np.array([[np.nan, 0.0], [0.0, 0.5]]))  # NaN
-
-
-def test_state_json_roundtrip():
-    rho = random_density_matrix(3, 1)
-    again = state_from_json(state_to_json(rho))
-    np.testing.assert_allclose(again, rho, atol=1e-15)
-
-
-def test_bloch_json_roundtrip():
-    r = to_bloch(random_density_matrix(3, 2), BASES[3])
-    r2, d = bloch_from_json(bloch_to_json(r, 3))
-    assert d == 3
-    np.testing.assert_allclose(r2, r, atol=1e-15)
-
-
-def test_bloch_json_length_validation():
-    with pytest.raises(ValueError):
-        bloch_from_json({"d": 3, "bloch": [0.0] * 7})
 
 
 # adversarial single-entry edits of a Ginibre state: both gates must refuse

@@ -17,6 +17,17 @@ def _read_json(path):
         return json.load(fh)
 
 
+def _write_state(path, d, key, value):
+    path.write_text(json.dumps(cli._state_json(d, key, value)))
+    return path
+
+
+def _read_rho(path):
+    d, key, rho = cli._read_state(str(path))
+    assert key == "rho"
+    return rho
+
+
 def test_geometry_json(tmp_path):
     out = tmp_path / "geom.json"
     assert main(["geometry", "--d", "3", "--out", str(out)]) == 0
@@ -148,8 +159,7 @@ def test_verify_accepts_valid_fiducial_file(tmp_path):
 
 
 def test_convert_mixed_to_probabilities(tmp_path, contexts):
-    state = tmp_path / "state.json"
-    state.write_text(json.dumps(bloch.state_to_json(np.eye(3) / 3.0)))
+    state = _write_state(tmp_path / "state.json", 3, "rho", np.eye(3) / 3.0)
     out = tmp_path / "probs.json"
     assert main(["convert", "--to", "probabilities", "--in", str(state),
                  "--out", str(out)]) == 0
@@ -164,21 +174,18 @@ def test_convert_probabilities_back_to_rho(tmp_path, contexts):
     out = tmp_path / "rho.json"
     assert main(["convert", "--to", "rho", "--in", str(probs),
                  "--out", str(out)]) == 0
-    rho = bloch.state_from_json(_read_json(out))
-    np.testing.assert_allclose(rho, np.eye(3) / 3.0, atol=1e-12)
+    np.testing.assert_allclose(_read_rho(out), np.eye(3) / 3.0, atol=1e-12)
 
 
 def test_convert_roundtrip_through_all_representations(tmp_path, contexts):
     rho = bloch.random_density_matrix(3, 5)
-    cur = tmp_path / "step0.json"
-    cur.write_text(json.dumps(bloch.state_to_json(rho)))
+    cur = _write_state(tmp_path / "step0.json", 3, "rho", rho)
     for i, target in enumerate(["bloch", "point", "probabilities", "rho"]):
         nxt = tmp_path / f"step{i + 1}.json"
         assert main(["convert", "--to", target, "--in", str(cur),
                      "--out", str(nxt)]) == 0
         cur = nxt
-    np.testing.assert_allclose(bloch.state_from_json(_read_json(cur)), rho,
-                               atol=1e-12)
+    np.testing.assert_allclose(_read_rho(cur), rho, atol=1e-12)
 
 
 def test_convert_rejects_unknown_payload(tmp_path):
@@ -188,9 +195,8 @@ def test_convert_rejects_unknown_payload(tmp_path):
 
 
 def test_tomography_csv(tmp_path, contexts):
-    state = tmp_path / "state.json"
-    state.write_text(json.dumps(bloch.state_to_json(
-        bloch.random_density_matrix(2, 11))))
+    state = _write_state(tmp_path / "state.json", 2, "rho",
+                         bloch.random_density_matrix(2, 11))
     out_a = tmp_path / "a.csv"
     out_b = tmp_path / "b.csv"
     for out in (out_a, out_b):
@@ -218,19 +224,84 @@ def test_console_entry_point():
     assert json.loads(proc.stdout)["m_pure"] == 2
 
 
+STATE_COMMANDS = [["convert", "--to", "point"], ["tomography", "--shots", "10"]]
+
+
 @pytest.mark.parametrize(
     "text", ['{"d": null, "bloch": [0, 0, 0]}', '[1, 2]',
              '{"d": [3], "bloch": [0, 0, 0]}',
              '{"d": 3.7, "bloch": [0, 0, 0, 0, 0, 0, 0, 0]}'],
     ids=["d-null", "top-level-list", "d-list", "d-float"])
-@pytest.mark.parametrize("command", [["convert", "--to", "point"],
-                                     ["tomography", "--shots", "10"]])
+@pytest.mark.parametrize("command", STATE_COMMANDS)
 def test_malformed_dimension_is_bad_input(command, text, tmp_path, capsys):
     state = tmp_path / "state.json"
     state.write_text(text)
     assert main(command + ["--in", str(state)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "text", ['{"d": 3, "bloch": {"a": 1}}', '{"d": 3, "probabilities": {"x": 1}}',
+             '{"d": 3, "rho": 5}',
+             '{"d": 2, "rho": [[[1, 0], [0, 0]], [[0, 0], [0, 0]]], '
+             '"bloch": [0, 0, 1]}',
+             '{"d": 3, "bloch": [1' + '0' * 400 + ', 0, 0, 0, 0, 0, 0, 0]}'],
+    ids=["bloch-object", "probabilities-object", "rho-scalar", "rho-and-bloch",
+         "bloch-int-overflow"])
+@pytest.mark.parametrize("command", STATE_COMMANDS)
+def test_malformed_payload_is_bad_input(command, text, tmp_path, capsys):
+    state = tmp_path / "state.json"
+    state.write_text(text)
+    assert main(command + ["--in", str(state)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "text", ['{"d": 4, "bloch": [1]}', '{"d": 4, "rho": [[1]]}',
+             '{"d": 4, "something": [1]}',
+             '{"d": 4, "bloch": [' + ", ".join(["NaN"] * 15) + ']}'],
+    ids=["bloch-short", "rho-short", "no-representation", "bloch-nan"])
+@pytest.mark.parametrize("command", STATE_COMMANDS)
+def test_refused_state_file_builds_no_context(command, text, tmp_path,
+                                              monkeypatch):
+    catalog = tmp_path / "cat.json"
+    monkeypatch.setenv("SIC_SIMPLEX_CATALOG", str(catalog))
+    searches = []
+
+    def no_search(*args, **kwargs):
+        searches.append(args)
+        raise RuntimeError("a refused state file started a fiducial search")
+
+    monkeypatch.setattr(sic_povm, "find_fiducial", no_search)
+    state = tmp_path / "state.json"
+    state.write_text(text)
+    assert main(command + ["--in", str(state)]) == 2
+    assert searches == []
+    assert not catalog.exists()
+
+
+def test_state_json_roundtrip(tmp_path):
+    rho = bloch.random_density_matrix(3, 1)
+    path = _write_state(tmp_path / "rho.json", 3, "rho", rho)
+    np.testing.assert_allclose(_read_rho(path), rho, atol=1e-15)
+
+
+def test_bloch_json_roundtrip(tmp_path, contexts):
+    r = bloch.to_bloch(bloch.random_density_matrix(3, 2), contexts[3].basis)
+    path = _write_state(tmp_path / "bloch.json", 3, "bloch", r)
+    d, key, r2 = cli._read_state(str(path))
+    assert (d, key) == (3, "bloch")
+    np.testing.assert_allclose(r2, r, atol=1e-15)
+
+
+@pytest.mark.parametrize("key, length", [("bloch", 7), ("point", 9),
+                                         ("probabilities", 8)])
+def test_state_json_shape_validation(key, length, tmp_path):
+    path = _write_state(tmp_path / "s.json", 3, key, [0.0] * length)
+    with pytest.raises(ValueError):
+        cli._read_state(str(path))
 
 
 def test_missing_input_file_is_an_error(tmp_path):

@@ -454,10 +454,41 @@ def _count_calls(monkeypatch, name):
 @pytest.mark.parametrize("d", [5, 6, 7])
 def test_search_stops_at_the_roundoff_floor(d, monkeypatch):
     # ten restarts of 60 Gauss-Newton steps each would take 600 Jacobians
-    calls = _count_calls(monkeypatch, "_residuals_jacobian")
+    calls = _count_calls(monkeypatch, "_jacobian")
     fid = find_fiducial(d, seed=1)
     assert fid.converged
     assert len(calls) < 60
+
+
+@pytest.mark.parametrize("d", [3, 5, 7])
+def test_polish_evaluates_each_point_once(d, monkeypatch):
+    # _polish normalizes its start and each line-search candidate once; one
+    # evaluation per normalization means the accepted candidate's deviations
+    # carry into the next step instead of being formed again for J
+    disp = displacement_operators(d)[1:]
+    rng = np.random.default_rng(1)
+    start = rng.normal(size=d) + 1j * rng.normal(size=d)
+    points, normalized = [], []
+    evaluate, norm = sic_povm._deviations, np.linalg.norm
+
+    def counted_evaluate(disp, psi, target):
+        points.append(psi.tobytes())
+        return evaluate(disp, psi, target)
+
+    def counted_norm(x):
+        normalized.append(1)
+        return norm(x)
+
+    monkeypatch.setattr(sic_povm, "_deviations", counted_evaluate)
+    monkeypatch.setattr(np.linalg, "norm", counted_norm)
+    jacobians = _count_calls(monkeypatch, "_jacobian")
+    _, steps, max_dev = sic_povm._polish(disp, start, 1.0 / (d + 1.0))
+    assert max_dev <= sic_povm.POLISH_FLOOR
+    assert len(points) == len(normalized)
+    assert len(set(points)) == len(points)
+    # J is formed only at the points a step leaves, never at a rejected
+    # candidate or at the point that meets the floor
+    assert len(jacobians) == steps
 
 
 def test_first_converged_restart_ends_the_search(monkeypatch):
