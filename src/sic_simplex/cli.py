@@ -73,7 +73,11 @@ def _write_csv(columns, rows, path: str | None) -> None:
 
 def _load_json(path: str) -> dict:
     with open(path) as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError:
+            # the decoder recurses once per nesting level
+            raise ValueError(f"{path}: JSON nested too deeply") from None
 
 
 def _read_state(path: str) -> tuple[int, str, np.ndarray]:

@@ -158,9 +158,13 @@ def qubit_tetrahedron_fiducial() -> Fiducial:
 #
 # (proportional to the full frame potential on the orbit).  Each restart runs
 # a plain Gauss-Newton iteration on the deviation vector w straight from a
-# random start, renormalizing to the unit sphere after every step; near a
-# zero of phi it converges quadratically to the machine floor, and it stops
-# once max|w_D| <= POLISH_FLOOR.  max|w_D| is the orbit's sic_residual up to
+# random start, renormalizing to the unit sphere after every step, and it
+# stops once max|w_D| <= POLISH_FLOOR.  For d >= 4, near a zero of phi it
+# converges quadratically to that floor (about 5-12 steps).  d = 3 is the
+# exception: its fiducials form a continuous family, so besides the two
+# exact nulls J has a singular value that tends to 0 at a fiducial, and the
+# iteration converges linearly, max|w_D| falling about 4x per step (18-27
+# steps per restart).  max|w_D| is the orbit's sic_residual up to
 # roundoff, so a restart that stops there has already converged.  The
 # restarts run one at a time: the first converged one ends the search, and
 # only when none converges is the smallest residual kept.
@@ -168,18 +172,29 @@ def qubit_tetrahedron_fiducial() -> Fiducial:
 
 def _deviations(disp: np.ndarray, psi: np.ndarray, target: float):
     """D psi for every displacement D, the overlaps c_D = <psi|D|psi> and
-    the deviations w_D = |c_D|^2 - target."""
-    d_psi = np.einsum('aij,j->ai', disp, psi)
+    the deviations w_D = |c_D|^2 - target.  The D psi are one product with
+    the C-contiguous (n, d, d) table viewed as (n*d, d)."""
+    n, d, _ = disp.shape
+    d_psi = (disp.reshape(n * d, d) @ psi).reshape(n, d)
     c = d_psi @ psi.conj()
     return d_psi, c, np.abs(c) ** 2 - target
 
 
-def _jacobian(disp, psi, d_psi, c):
+def _adjoint_table(disp: np.ndarray) -> np.ndarray:
+    """The conjugate transposes D^dagger of an (n, d, d) table, stacked as
+    one (n*d, d) matrix for `_jacobian`."""
+    n, d, _ = disp.shape
+    return disp.conj().transpose(0, 2, 1).reshape(n * d, d)
+
+
+def _jacobian(disp_h, psi, d_psi, c):
     """Jacobian 2 [Re h, Im h] of the deviations wrt (Re psi, Im psi), where
-    h_D = dw_D/dpsi*, from the D psi and c_D that `_deviations` returned."""
-    ddag_psi = np.einsum('aji,j->ai', disp.conj(), psi)
-    h = c.conj()[:, None] * d_psi + c[:, None] * ddag_psi
-    return 2.0 * np.hstack([h.real, h.imag])
+    h_D = dw_D/dpsi*, from the D psi and c_D that `_deviations` returned and
+    the stacked D^dagger of `_adjoint_table`."""
+    ddag_psi = (disp_h @ psi).reshape(d_psi.shape)
+    c2 = 2.0 * c
+    h2 = c2.conj()[:, None] * d_psi + c2[:, None] * ddag_psi
+    return np.concatenate((h2.real, h2.imag), axis=1)
 
 
 def _polish(disp, psi, target):
@@ -189,18 +204,23 @@ def _polish(disp, psi, target):
     <= POLISH_FLOOR, after MAX_POLISH_STEPS steps, when no halving helps or
     when the solve fails.  The start and each candidate are evaluated once,
     and J is formed only at the points a step leaves, from the D psi and c_D
-    their evaluation carried.  Returns (psi, steps taken, final max|w_D|)."""
+    their evaluation carried.  Per step that is one (n*d, d) product for
+    D^dagger psi (the stacked D^dagger are built once per call), the 2d x 2d
+    normal equations and one solve; per evaluation, one (n*d, d) product
+    for D psi and the overlaps.  Returns (psi, steps taken, final
+    max|w_D|)."""
     psi = psi / np.linalg.norm(psi)
     d = psi.shape[0]
+    disp_h = _adjoint_table(disp)
+    ridge = _RIDGE * np.eye(2 * d)
     d_psi, c, w = _deviations(disp, psi, target)
     for iters in range(MAX_POLISH_STEPS):
-        if np.max(np.abs(w)) <= POLISH_FLOOR:
+        if np.abs(w).max() <= POLISH_FLOOR:
             break
-        jac = _jacobian(disp, psi, d_psi, c)
-        phi = float(np.sum(w ** 2))
+        jac = _jacobian(disp_h, psi, d_psi, c)
+        phi = w @ w
         try:
-            dx = np.linalg.solve(jac.T @ jac + _RIDGE * np.eye(2 * d),
-                                 -jac.T @ w)
+            dx = np.linalg.solve(jac.T @ jac + ridge, -jac.T @ w)
         except np.linalg.LinAlgError:
             break
         step = dx[:d] + 1j * dx[d:]
@@ -208,7 +228,7 @@ def _polish(disp, psi, target):
             cand = psi + step
             cand /= np.linalg.norm(cand)
             evaluated = _deviations(disp, cand, target)
-            if np.sum(evaluated[2] ** 2) < phi:
+            if evaluated[2] @ evaluated[2] < phi:
                 break
             step *= 0.5
         else:
@@ -217,7 +237,7 @@ def _polish(disp, psi, target):
     else:
         iters = MAX_POLISH_STEPS
     # w is the deviation vector of psi on every exit
-    return psi, iters, float(np.max(np.abs(w)))
+    return psi, iters, float(np.abs(w).max())
 
 
 def find_fiducial(d: int, seed: int = 0, restarts: int = 10) -> Fiducial:
@@ -301,14 +321,24 @@ def fiducial_to_json(fid: Fiducial) -> dict:
 
 
 def fiducial_from_json(obj: dict) -> Fiducial:
-    """Fiducial from a catalog entry; "residual" and "converged" go unread."""
+    """Fiducial from a catalog entry or fiducial file; "residual" and
+    "converged" go unread.  "d" must be an int >= 2 (not a bool) and "psi"
+    a finite unit vector of d [re, im] pairs; anything else raises
+    ValueError."""
     if not isinstance(obj, dict):
         raise ValueError(f"fiducial entry is not a JSON object: {obj!r:.40}")
     missing = sorted({"d", "psi"} - obj.keys())
     if missing:
         raise ValueError(f"fiducial entry has no {', '.join(missing)} field")
-    arr = np.array(obj["psi"], dtype=float)
-    d = int(obj["d"])
+    d = obj["d"]
+    if type(d) is not int or d < 2:
+        raise ValueError('fiducial entry "d" must be an integer >= 2, got '
+                         f"{type(d).__name__} {d!r:.40}")
+    try:
+        arr = np.array(obj["psi"], dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError('fiducial entry "psi" is not an array of '
+                         "numbers") from None
     if arr.shape != (d, 2):
         raise ValueError(f"malformed psi entry: shape {arr.shape} for d={d}")
     psi = arr[:, 0] + 1j * arr[:, 1]
@@ -350,8 +380,7 @@ def save_catalog(catalog: dict, path: str) -> None:
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w") as fh:
-            json.dump(catalog, fh, sort_keys=True, indent=2)
-            fh.write("\n")
+            fh.write(json.dumps(catalog, sort_keys=True, indent=2) + "\n")
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(OSError):
@@ -409,7 +438,7 @@ def get_fiducial(d: int, seed: int = 0,
                 raise ValueError(f"it holds a d={cached.d} vector")
             if not cached.converged:
                 raise ValueError(f"residual {cached.residual:.3e}")
-        except (ValueError, TypeError, OverflowError) as exc:
+        except ValueError as exc:
             log.warning("refused catalog entry for d=%d: %s", d, exc)
         else:
             log.debug("catalog hit for d=%d in %s", d, path)

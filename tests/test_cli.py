@@ -225,6 +225,8 @@ def test_console_entry_point():
 
 
 STATE_COMMANDS = [["convert", "--to", "point"], ["tomography", "--shots", "10"]]
+# deeper than the JSON decoder's recursion allows
+NESTED = "[" * 100000 + "]" * 100000
 
 
 @pytest.mark.parametrize(
@@ -246,9 +248,10 @@ def test_malformed_dimension_is_bad_input(command, text, tmp_path, capsys):
              '{"d": 3, "rho": 5}',
              '{"d": 2, "rho": [[[1, 0], [0, 0]], [[0, 0], [0, 0]]], '
              '"bloch": [0, 0, 1]}',
-             '{"d": 3, "bloch": [1' + '0' * 400 + ', 0, 0, 0, 0, 0, 0, 0]}'],
+             '{"d": 3, "bloch": [1' + '0' * 400 + ', 0, 0, 0, 0, 0, 0, 0]}',
+             '{"d": 3, "bloch": ' + NESTED + '}'],
     ids=["bloch-object", "probabilities-object", "rho-scalar", "rho-and-bloch",
-         "bloch-int-overflow"])
+         "bloch-int-overflow", "bloch-nested-too-deeply"])
 @pytest.mark.parametrize("command", STATE_COMMANDS)
 def test_malformed_payload_is_bad_input(command, text, tmp_path, capsys):
     state = tmp_path / "state.json"
@@ -280,6 +283,23 @@ def test_refused_state_file_builds_no_context(command, text, tmp_path,
     assert main(command + ["--in", str(state)]) == 2
     assert searches == []
     assert not catalog.exists()
+
+
+@pytest.mark.parametrize(
+    "d, psi", [("3", '{"a": 1}'), ("null", None), ("3.7", None), ('"3"', None),
+               ("true", None), ("3", NESTED)],
+    ids=["psi-object", "d-null", "d-float", "d-string", "d-bool",
+         "psi-nested-too-deeply"])
+def test_malformed_fiducial_file_is_bad_input(d, psi, tmp_path, capsys,
+                                              contexts):
+    # a valid d = 3 psi unless the case replaces it
+    psi = psi or json.dumps(fiducial_to_json(contexts[3].sic.fiducial)["psi"])
+    fid = tmp_path / "fid.json"
+    fid.write_text(f'{{"d": {d}, "psi": {psi}}}')
+    assert main(["verify", "--d", "3", "--samples", "10",
+                 "--fiducial", str(fid)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
 
 
 def test_state_json_roundtrip(tmp_path):

@@ -251,8 +251,8 @@ def test_failed_catalog_write_keeps_previous_file(tmp_path):
                  str(path))
     before = path.read_bytes()
     good = find_fiducial(3, seed=5, restarts=2)
-    # an unserializable config makes json.dump fail after writing the
-    # entries sorted before it
+    # an unserializable config makes the dump fail once the temporary file
+    # is open
     bad = Fiducial(psi=np.ones(4) / 2.0, config={"x": object()})
     with pytest.raises(TypeError):
         save_catalog({"3": fiducial_to_json(good),
@@ -292,6 +292,15 @@ def test_catalog_roundtrip(tmp_path):
     assert loaded == {"3": fiducial_to_json(fid)}
     np.testing.assert_array_equal(fiducial_from_json(loaded["3"]).psi, fid.psi)
     assert load_catalog(str(tmp_path / "missing.json")) == {}
+
+
+def test_catalog_file_is_one_sorted_indented_dump(tmp_path, contexts):
+    path = tmp_path / "cat.json"
+    catalog = {str(d): fiducial_to_json(contexts[d].sic.fiducial)
+               for d in (5, 2, 3)}
+    save_catalog(catalog, str(path))
+    assert path.read_bytes() == (json.dumps(catalog, sort_keys=True, indent=2)
+                                 + "\n").encode()
 
 
 def test_get_fiducial_uses_builtin_for_qubits(tmp_path):
@@ -439,6 +448,20 @@ def test_fiducial_json_rejects_unnormalizing_entry(d, seed, data, value):
         fiducial_from_json(obj)
 
 
+@pytest.mark.parametrize("field, value, reason", [
+    ("d", 3.7, "float 3.7"), ("d", "3", "str '3'"), ("d", True, "bool"),
+    ("d", None, "NoneType"), ("d", 1, "int 1"),
+    ("psi", {"a": 1}, "not an array of numbers"),
+    ("psi", [[10 ** 400, 0]] * 3, "not an array of numbers")],
+    ids=["d-float", "d-string", "d-bool", "d-null", "d-below-2",
+         "psi-object", "psi-int-overflow"])
+def test_fiducial_json_refuses_malformed_field(field, value, reason):
+    # the state-file rule: "d" is an int >= 2 and not a bool
+    obj = {**_unit_vector_entry(3, 0), field: value}
+    with pytest.raises(ValueError, match=reason):
+        fiducial_from_json(obj)
+
+
 def _count_calls(monkeypatch, name):
     calls = []
     inner = getattr(sic_povm, name)
@@ -458,6 +481,28 @@ def test_search_stops_at_the_roundoff_floor(d, monkeypatch):
     fid = find_fiducial(d, seed=1)
     assert fid.converged
     assert len(calls) < 60
+
+
+@pytest.mark.parametrize("d", range(2, 9))
+def test_deviations_and_jacobian_match_einsum(d):
+    # the matrix-product forms against the einsum formulas they replaced
+    disp = displacement_operators(d)[1:]
+    target = 1.0 / (d + 1.0)
+    rng = np.random.default_rng(d)
+    for _ in range(3):
+        psi = rng.normal(size=d) + 1j * rng.normal(size=d)
+        psi /= np.linalg.norm(psi)
+        ref_d_psi = np.einsum('aij,j->ai', disp, psi)
+        ref_c = ref_d_psi @ psi.conj()
+        ddag_psi = np.einsum('aji,j->ai', disp.conj(), psi)
+        h = ref_c.conj()[:, None] * ref_d_psi + ref_c[:, None] * ddag_psi
+        ref_jac = 2.0 * np.hstack([h.real, h.imag])
+        d_psi, c, w = sic_povm._deviations(disp, psi, target)
+        jac = sic_povm._jacobian(sic_povm._adjoint_table(disp), psi, d_psi, c)
+        for got, ref in [(d_psi, ref_d_psi), (c, ref_c),
+                         (w, np.abs(ref_c) ** 2 - target), (jac, ref_jac)]:
+            assert got.shape == ref.shape
+            assert np.max(np.abs(got - ref)) <= 1e-13
 
 
 @pytest.mark.parametrize("d", [3, 5, 7])
