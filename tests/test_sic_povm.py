@@ -579,7 +579,35 @@ def test_search_logs_one_record_per_restart(caplog, monkeypatch):
     assert [r["ended_search"] for r in records] == ["False", "False"]
 
 
-@pytest.mark.parametrize("text", ['[1, 2]'])
+@pytest.mark.parametrize("seed", range(10))
+def test_d3_restarts_reach_the_floor_within_twelve_steps(seed, caplog):
+    # d = 3 fiducials form a continuous family, so plain Gauss-Newton only
+    # converges linearly there (18-27 steps); the doubled step cuts that
+    caplog.set_level(logging.DEBUG, logger="sic_simplex")
+    assert find_fiducial(3, seed=seed).converged
+    for record in _restart_records(caplog):
+        assert float(record["max_dev"]) <= sic_povm.POLISH_FLOOR
+        assert int(record["iterations"]) <= 12
+
+
+def test_stalled_restart_ends_early_and_the_search_goes_on(caplog):
+    # the first start of seed 10 at d = 6 sits on a plateau at phi = 4.589e-2
+    # and would spend all MAX_POLISH_STEPS steps there
+    caplog.set_level(logging.DEBUG, logger="sic_simplex")
+    fid = find_fiducial(6, seed=10)
+    assert fid.converged
+    stalled, *rest = _restart_records(caplog)
+    assert stalled["ended_search"] == "False"
+    assert float(stalled["max_dev"]) > 0.1
+    assert int(stalled["iterations"]) < 40
+    assert rest[-1]["ended_search"] == "True"
+
+
+@pytest.mark.parametrize("text", [
+    '[1, 2]',
+    # the decoder recurses once per level, past the interpreter's limit
+    pytest.param('{"3": ' + "[" * 100000 + "]" * 100000 + "}",
+                 id="nested-too-deeply")])
 def test_non_object_catalog_is_treated_as_empty(text, tmp_path, monkeypatch,
                                                 caplog):
     path = tmp_path / "cat.json"
@@ -589,7 +617,10 @@ def test_non_object_catalog_is_treated_as_empty(text, tmp_path, monkeypatch,
     with caplog.at_level(logging.WARNING, logger="sic_simplex"):
         fid = get_fiducial(3, seed=1, catalog_path=str(path))
     assert fid.converged
-    assert any("unreadable" in r.getMessage() for r in caplog.records)
+    # one WARNING from the lookup, one from the write that replaces the file
+    assert ([r.getMessage().split()[0] for r in caplog.records]
+            == ["unreadable", "replacing"])
+    assert list(load_catalog(str(path))) == ["3"]
     path.write_text(text)
     monkeypatch.setenv("SIC_SIMPLEX_CATALOG", str(path))
     assert main(["verify", "--d", "3", "--samples", "10"]) == 0

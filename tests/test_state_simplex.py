@@ -3,7 +3,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from sic_simplex import bloch
+from sic_simplex import bloch, state_simplex
 from sic_simplex.bloch import PSD_TOL, PURITY_TOL
 from sic_simplex.simplex_geometry import (MEMBERSHIP_TOL, facet_distance,
                                           to_probabilities)
@@ -200,6 +200,17 @@ def test_tangency_identity(d):
     lhs = facet_distance(n, m_pure)
     rhs = np.sqrt((d - 1.0) / (d + 1.0))
     assert abs(lhs - rhs) <= 1e-14 * rhs
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+@pytest.mark.parametrize("wrong", [lambda x: 2.0 * x, lambda x: np.nan],
+                         ids=["doubled", "nan"])
+def test_geometry_report_raises_on_inconsistent_radii(d, wrong, monkeypatch):
+    # explicit raises, so the checks also hold under python -O
+    monkeypatch.setattr(state_simplex, "facet_distance",
+                        lambda n, m: wrong(facet_distance(n, m)))
+    with pytest.raises(RuntimeError, match=f"d={d}:"):
+        geometry_report(d)
 
 
 def test_geometry_report_rejects_d1():
