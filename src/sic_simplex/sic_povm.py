@@ -22,6 +22,7 @@ vector, never taken from storage.
 import bisect
 import contextlib
 import functools
+import hashlib
 import json
 import logging
 import os
@@ -228,7 +229,8 @@ def _polish(disp, psi, target):
     D^dagger psi (the stacked D^dagger are built once per call), the 2d x 2d
     normal equations and one solve; per evaluation, one (n*d, d) product
     for D psi and the overlaps.  Returns (psi, steps taken, final
-    max|w_D|)."""
+    max|w_D|, why it ended), the last one of "floor", "stall",
+    "no_decrease", "solve_failed" or "step_cap"."""
     psi = psi / np.linalg.norm(psi)
     d = psi.shape[0]
     disp_h = _adjoint_table(disp)
@@ -238,17 +240,21 @@ def _polish(disp, psi, target):
     # evaluation count and phi at each accepted point, for the stall rule
     counts, phis = [1], [phi]
     last_linear = False
+    ended = "step_cap"
     for iters in range(MAX_POLISH_STEPS):
         dev = np.abs(w).max()
         if dev <= POLISH_FLOOR:
+            ended = "floor"
             break
         ref = bisect.bisect_right(counts, counts[-1] - STALL_EVALUATIONS)
         if ref and phi > 0.5 * phis[ref - 1]:
+            ended = "stall"
             break
         jac = _jacobian(disp_h, psi, d_psi, c)
         try:
             dx = np.linalg.solve(jac.T @ jac + ridge, -jac.T @ w)
         except np.linalg.LinAlgError:
+            ended = "solve_failed"
             break
         step = dx[:d] + 1j * dx[d:]
         evals = counts[-1]
@@ -262,6 +268,7 @@ def _polish(disp, psi, target):
                 break
             step *= 0.5
         else:
+            ended = "no_decrease"
             break
         # a full step that cut max|w_D| by a ratio in (0.1, 0.5), twice
         # running, is converging linearly: try the doubled step as well
@@ -285,7 +292,7 @@ def _polish(disp, psi, target):
     else:
         iters = MAX_POLISH_STEPS
     # w is the deviation vector of psi on every exit
-    return psi, iters, float(np.abs(w).max())
+    return psi, iters, float(np.abs(w).max()), ended
 
 
 def find_fiducial(d: int, seed: int = 0, restarts: int = 10) -> Fiducial:
@@ -313,12 +320,12 @@ def find_fiducial(d: int, seed: int = 0, restarts: int = 10) -> Fiducial:
     for restart in range(restarts):
         start = rng.normal(size=d) + 1j * rng.normal(size=d)
         t0 = time.perf_counter()
-        psi, iterations, max_dev = _polish(disp[1:], start, target)
+        psi, iterations, max_dev, ended = _polish(disp[1:], start, target)
         fid = Fiducial(psi=psi, source="search", seed=seed, config=config)
         fids.append(fid)
-        log.debug("search restart d=%d restart=%d iterations=%d "
+        log.debug("search restart d=%d restart=%d iterations=%d ended=%s "
                   "max_dev=%.3e residual=%.3e wall_ms=%.3f ended_search=%s",
-                  d, restart, iterations, max_dev, fid.residual,
+                  d, restart, iterations, ended, max_dev, fid.residual,
                   1e3 * (time.perf_counter() - t0), fid.converged)
         if fid.converged:
             return fid
@@ -475,10 +482,11 @@ def get_fiducial(d: int, seed: int = 0,
     well-formed, converged fiducial of dimension d (a stored "converged" is
     not read); else it is refused with one WARNING naming d and the reason,
     and a new search runs and is recorded (best effort, see
-    `record_fiducial`).  Catalog decisions go to the "sic_simplex" logger.
+    `record_fiducial`).  Catalog decisions go to the "sic_simplex" logger,
+    with one DEBUG record naming the fiducial returned (see `_log_used`).
     """
     if d == 2:
-        return qubit_tetrahedron_fiducial()
+        return _log_used(qubit_tetrahedron_fiducial(), "builtin")
     path = catalog_path or default_catalog_path()
     try:
         catalog = load_catalog(path)
@@ -495,8 +503,19 @@ def get_fiducial(d: int, seed: int = 0,
         except ValueError as exc:
             log.warning("refused catalog entry for d=%d: %s", d, exc)
         else:
-            log.debug("catalog hit for d=%d in %s", d, path)
-            return cached
+            return _log_used(cached, "catalog", f" (catalog hit in {path})")
     fid = find_fiducial(d, seed=seed)
     record_fiducial(fid, path)
+    return _log_used(fid, "search")
+
+
+def _log_used(fid: Fiducial, source: str, note: str = "") -> Fiducial:
+    """Log one DEBUG record naming `fid`: its d, where it came from
+    ("builtin", "catalog" or "search"), its seed and the first 12 hex
+    digits of the SHA-256 of its psi bytes, formed only when DEBUG is on.
+    Returns `fid`."""
+    if log.isEnabledFor(logging.DEBUG):
+        log.debug("fiducial used d=%d source=%s seed=%s sha256=%s%s",
+                  fid.d, source, fid.seed,
+                  hashlib.sha256(fid.psi.tobytes()).hexdigest()[:12], note)
     return fid

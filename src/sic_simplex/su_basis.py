@@ -3,10 +3,13 @@
 The basis consists of the generalized Gell-Mann matrices, normalized so that
 Tr(sigma_a sigma_b) = 2 delta_ab.  The totally antisymmetric and totally
 symmetric structure constants f_abc, d_abc are read off from the triple
-traces Tr(sigma_a sigma_b sigma_c) = 2 d_abc + 2i f_abc.
+traces Tr(sigma_a sigma_b sigma_c) = 2 d_abc + 2i f_abc.  Only the nonzero
+d_abc are kept, the table the star product sums over: 2,610 of the 250,047
+at d = 8.  The dense f and d tables, 16 m**3 bytes with m = d**2 - 1, are
+built only when read.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache, cached_property
 
 import numpy as np
@@ -30,7 +33,7 @@ class SuBasis:
     is left as it was), so the tables derived from it cannot go stale: its
     `trace_columns` and `structure_constants` are built on first use and
     cached on the basis for its lifetime, the structure constants taking
-    16 m**3 bytes, m = d**2 - 1.  Compared by identity.
+    32 bytes per nonzero d_abc (84 kB at d = 8).  Compared by identity.
     """
 
     d: int
@@ -50,35 +53,47 @@ class SuBasis:
 
     @cached_property
     def _structure_constants(self) -> "StructureConstants":
-        return _triple_traces(self)
+        return StructureConstants(d=self.d, basis=self,
+                                  dsym_entries=_dsym_entries(self))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StructureConstants:
-    """f (totally antisymmetric) and dsym (totally symmetric) rank-3 arrays.
+    """The structure constants of a basis, held as the nonzero dsym_abc.
 
-    Defined by Tr(sigma_a sigma_b sigma_c) = 2 dsym_abc + 2i f_abc.  Dense
-    storage: the two arrays take 16 m**3 bytes together, 0.7 MB at d = 6,
-    4.0 MB at d = 8 and 15.5 MB at d = 10, and about 6.7 MB for all of
-    d = 2..8.  They are computed with O(d**8) flops of BLAS matmuls: on one
-    thread of a shared 2-vCPU Xeon host (numpy 2.4, OpenBLAS), medians of 15
-    runs: 1.5 ms at d = 6, 10 ms at d = 8 and 45 ms at d = 10.  Built once
-    per basis, so once per d for the Gell-Mann bases of `build_su_basis`.
+    Defined by Tr(sigma_a sigma_b sigma_c) = 2 dsym_abc + 2i f_abc.
+    `dsym_entries` is the table `star_product` sums over: (a, b, c,
+    dsym_abc) for every nonzero dsym_abc, in the C order that
+    `np.nonzero(dsym)` lists them, as four read-only arrays.  In the
+    Gell-Mann basis it takes 32 bytes per entry: 2,610 entries (84 kB) at
+    d = 8, 24,485 (0.78 MB) at d = 16.  It is built with O(d**8) flops of
+    BLAS matmuls, one block of rows at a time, so no O(m**3) array exists
+    at any point, m = d**2 - 1.  Built once per basis, so once per d for
+    the Gell-Mann bases of `build_su_basis`.
 
-    Frozen, with both arrays read-only, so the sparse view of dsym that
-    `star_product` reads, built on its first call and cached, cannot go
-    stale.
+    `f` and `dsym` are the dense (m, m, m) arrays, read-only references
+    that nothing in the package reads: the first read of either runs the
+    same kernel again and caches both, 16 m**3 bytes together (4.0 MB at
+    d = 8, 265 MB at d = 16).  Frozen, so neither can go stale.
     """
 
     d: int
-    f: np.ndarray     # (m, m, m) real, m = d**2 - 1
-    dsym: np.ndarray  # (m, m, m) real
+    basis: SuBasis = field(repr=False)
+    dsym_entries: tuple = field(repr=False)  # (a, b, c, dsym_abc) arrays
 
     @cached_property
-    def _dsym_entries(self) -> tuple:
-        """(a, b, c, dsym_abc) over the nonzero entries of dsym."""
-        a, b, c = np.nonzero(self.dsym)
-        return a, b, c, self.dsym[a, b, c]
+    def _dense(self) -> tuple:
+        return _dense_tables(self.basis)
+
+    @property
+    def f(self) -> np.ndarray:
+        """(m, m, m) real, f_abc = Im Tr(sigma_a sigma_b sigma_c) / 2."""
+        return self._dense[0]
+
+    @property
+    def dsym(self) -> np.ndarray:
+        """(m, m, m) real, dsym_abc = Re Tr(sigma_a sigma_b sigma_c) / 2."""
+        return self._dense[1]
 
 
 @cache
@@ -128,7 +143,8 @@ def trace_columns(basis: SuBasis) -> np.ndarray:
 
 def structure_constants(basis: SuBasis) -> StructureConstants:
     """f_abc = Im Tr(sigma_a sigma_b sigma_c) / 2 and the symmetric
-    counterpart dsym_abc = Re Tr(sigma_a sigma_b sigma_c) / 2.
+    counterpart dsym_abc = Re Tr(sigma_a sigma_b sigma_c) / 2, held as the
+    nonzero dsym_abc (see `StructureConstants`).
 
     Computed on the first call for a basis and cached on it: every later
     call returns the same read-only object.
@@ -136,45 +152,75 @@ def structure_constants(basis: SuBasis) -> StructureConstants:
     return basis._structure_constants
 
 
-def _triple_traces(basis: SuBasis) -> StructureConstants:
-    """The structure constants from the triple traces, with both arrays
-    read-only.
+def _triple_traces(basis: SuBasis, emit) -> None:
+    """Call `emit(a0, T)` once per block of SC_ROW_BLOCK rows a, in order,
+    with T[i, b, c] = Tr(sigma_{a0+i} sigma_b sigma_c) complex.
 
-    Each block of rows a is two matmuls: one forms the products
-    sigma_a sigma_b of the block against all b, the other contracts their
-    flattened form with `trace_columns`; only one block of complex traces
-    exists at a time.
+    Each block is two matmuls: one forms the products sigma_a sigma_b of
+    the block against all b, the other contracts their flattened form with
+    `trace_columns`.  No block is kept once `emit` returns, so only one
+    block of complex traces exists at a time.
     """
     S = basis.matrices
     m, d = S.shape[0], basis.d
     columns = trace_columns(basis)
     # (d, m*d): row j holds (sigma_b)_jk for every (b, k)
     right = S.transpose(1, 0, 2).reshape(d, m * d)
-    f = np.empty((m, m, m))
-    dsym = np.empty((m, m, m))
     for a0 in range(0, m, SC_ROW_BLOCK):
         rows = S[a0:a0 + SC_ROW_BLOCK]
         B = len(rows)
-        products = ((rows.reshape(B * d, d) @ right)
-                    .reshape(B, d, m, d).transpose(0, 2, 1, 3))
-        triple = (products.reshape(-1, d * d) @ columns).reshape(B, m, m)
-        f[a0:a0 + B] = triple.imag / 2.0
-        dsym[a0:a0 + B] = triple.real / 2.0
+        emit(a0, ((rows.reshape(B * d, d) @ right)
+                  .reshape(B, d, m, d).transpose(0, 2, 1, 3)
+                  .reshape(-1, d * d) @ columns).reshape(B, m, m))
+
+
+def _dsym_entries(basis: SuBasis) -> tuple:
+    """(a, b, c, dsym_abc) over the nonzero dsym_abc, in the C order of
+    `np.nonzero(dsym)`: each block's nonzero entries, rows offset, block
+    after block.  Four read-only arrays."""
+    m = basis.matrices.shape[0]
+    parts = []
+
+    def keep_nonzero(a0, triple):
+        block = triple.real / 2.0
+        flat = np.flatnonzero(block)
+        parts.append((*np.unravel_index(flat + a0 * m * m, (m, m, m)),
+                      block.reshape(-1)[flat]))
+
+    _triple_traces(basis, keep_nonzero)
+    entries = tuple(np.concatenate(column) for column in zip(*parts))
+    for column in entries:
+        column.setflags(write=False)
+    return entries
+
+
+def _dense_tables(basis: SuBasis) -> tuple:
+    """The dense (f, dsym), both read-only."""
+    m = basis.matrices.shape[0]
+    f = np.empty((m, m, m))
+    dsym = np.empty((m, m, m))
+
+    def store(a0, triple):
+        f[a0:a0 + len(triple)] = triple.imag / 2.0
+        dsym[a0:a0 + len(triple)] = triple.real / 2.0
+
+    _triple_traces(basis, store)
     f.setflags(write=False)
     dsym.setflags(write=False)
-    return StructureConstants(d=basis.d, f=f, dsym=dsym)
+    return f, dsym
 
 
 def star_product(r1: np.ndarray, r2: np.ndarray,
                  sc: StructureConstants) -> np.ndarray:
     """Symmetric star product (r1 * r2)_c = dsym_abc r1_a r2_b.
 
-    Sums over the nonzero entries of dsym only (cached on `sc` on the first
-    call), so the cost grows with their number: 2,610 of the 250,047 at
-    d = 8 in the Gell-Mann basis.  A dense dsym, for example in a rotated
-    basis, gives the same result but gains nothing: at d = 8 a call then
-    takes milliseconds, where a dense contraction takes about 0.1 ms.
-    Identically zero for d = 2, where dsym vanishes.
+    Sums over `sc.dsym_entries`, the nonzero dsym_abc only, so the cost
+    grows with their number: 2,610 of the 250,047 at d = 8 in the
+    Gell-Mann basis, and it never reads the dense `sc.dsym`.  In a basis
+    where most dsym_abc are nonzero, for example a rotated one, the table
+    holds all m**3 of them at 32 bytes each: the result is the same, but
+    at d = 8 a call then takes milliseconds, where a dense contraction
+    takes about 0.1 ms.  Identically zero for d = 2, where dsym vanishes.
     """
     r1 = np.asarray(r1, dtype=float)
     r2 = np.asarray(r2, dtype=float)
@@ -183,5 +229,5 @@ def star_product(r1: np.ndarray, r2: np.ndarray,
         raise ValueError(
             f"star_product needs two vectors of length {m}, "
             f"got {r1.shape} and {r2.shape}")
-    a, b, c, v = sc._dsym_entries
+    a, b, c, v = sc.dsym_entries
     return np.bincount(c, weights=v * r1[a] * r2[b], minlength=m)

@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import hashlib
 import json
 import logging
 import pathlib
@@ -337,7 +338,7 @@ def test_displacement_table_is_built_once_and_read_only():
 def test_search_keeps_first_restart_when_every_residual_is_nan(monkeypatch):
     monkeypatch.setattr(sic_povm, "_polish",
                         lambda disp, psi, target:
-                        (np.full_like(psi, np.nan), 0, np.nan))
+                        (np.full_like(psi, np.nan), 0, np.nan, "no_decrease"))
     fid = find_fiducial(3, seed=0, restarts=2)
     assert fid.converged is False
     assert np.isnan(fid.residual)
@@ -527,8 +528,9 @@ def test_polish_evaluates_each_point_once(d, monkeypatch):
     monkeypatch.setattr(sic_povm, "_deviations", counted_evaluate)
     monkeypatch.setattr(np.linalg, "norm", counted_norm)
     jacobians = _count_calls(monkeypatch, "_jacobian")
-    _, steps, max_dev = sic_povm._polish(disp, start, 1.0 / (d + 1.0))
+    _, steps, max_dev, ended = sic_povm._polish(disp, start, 1.0 / (d + 1.0))
     assert max_dev <= sic_povm.POLISH_FLOOR
+    assert ended == "floor"
     assert len(points) == len(normalized)
     assert len(set(points)) == len(points)
     # J is formed only at the points a step leaves, never at a rejected
@@ -600,7 +602,93 @@ def test_stalled_restart_ends_early_and_the_search_goes_on(caplog):
     assert stalled["ended_search"] == "False"
     assert float(stalled["max_dev"]) > 0.1
     assert int(stalled["iterations"]) < 40
+    assert stalled["ended"] == "stall"
     assert rest[-1]["ended_search"] == "True"
+    assert rest[-1]["ended"] == "floor"
+
+
+def _polish_from(d, start):
+    return sic_povm._polish(displacement_operators(d)[1:], start,
+                            1.0 / (d + 1.0))
+
+
+def _first_start(d, seed):
+    # the start of restart 0 of find_fiducial(d, seed)
+    rng = np.random.default_rng(seed)
+    return rng.normal(size=d) + 1j * rng.normal(size=d)
+
+
+@pytest.mark.parametrize("start", ["basis", "nan"])
+def test_polish_reports_no_decrease(start):
+    # |0> has every overlap at 0 or 1; no halving of its first step helps
+    # at the point that step reaches, and none helps a NaN start at all
+    psi = np.eye(3)[0] if start == "basis" else np.full(3, np.nan)
+    with np.errstate(invalid="ignore"):
+        _, steps, _, ended = _polish_from(3, psi.astype(complex))
+    assert ended == "no_decrease"
+    assert steps == (1 if start == "basis" else 0)
+
+
+def test_polish_reports_the_step_cap(monkeypatch):
+    monkeypatch.setattr(sic_povm, "MAX_POLISH_STEPS", 2)
+    _, steps, max_dev, ended = _polish_from(5, _first_start(5, 1))
+    assert ended == "step_cap" and steps == 2
+    assert max_dev > sic_povm.POLISH_FLOOR
+
+
+def test_polish_reports_a_failed_solve(monkeypatch):
+    # the ridge keeps the normal equations nonsingular, so only a solver
+    # that raises reaches this exit
+    def failing(*args):
+        raise np.linalg.LinAlgError("singular")
+
+    monkeypatch.setattr(np.linalg, "solve", failing)
+    start = _first_start(5, 1)
+    psi, steps, _, ended = _polish_from(5, start)
+    assert ended == "solve_failed" and steps == 0
+    np.testing.assert_array_equal(psi, start / np.linalg.norm(start))
+
+
+def _used_records(caplog):
+    out = []
+    for r in caplog.records:
+        message = r.getMessage()
+        if message.startswith("fiducial used"):
+            fields = message.split(" (")[0].split()[2:]
+            out.append(dict(kv.split("=") for kv in fields))
+    return out
+
+
+def _short_hash(fid):
+    return hashlib.sha256(fid.psi.tobytes()).hexdigest()[:12]
+
+
+def test_get_fiducial_names_the_fiducial_it_used(tmp_path, caplog):
+    path = str(tmp_path / "cat.json")
+    caplog.set_level(logging.DEBUG, logger="sic_simplex")
+    qubit = get_fiducial(2, catalog_path=path)
+    searched = get_fiducial(3, seed=1, catalog_path=path)
+    cached = get_fiducial(3, seed=999, catalog_path=path)
+    assert _used_records(caplog) == [
+        {"d": "2", "source": "builtin", "seed": "None",
+         "sha256": _short_hash(qubit)},
+        {"d": "3", "source": "search", "seed": "1",
+         "sha256": _short_hash(searched)},
+        {"d": "3", "source": "catalog", "seed": "1",
+         "sha256": _short_hash(cached)}]
+    assert _short_hash(cached) == _short_hash(searched)
+    assert path in caplog.records[-1].getMessage()
+
+
+def test_fiducial_record_costs_nothing_when_debug_is_off(tmp_path, caplog,
+                                                        monkeypatch):
+    def no_hash(*args):
+        raise AssertionError("hashed with DEBUG off")
+
+    monkeypatch.setattr(hashlib, "sha256", no_hash)
+    with caplog.at_level(logging.INFO, logger="sic_simplex"):
+        assert get_fiducial(2).source == "builtin"
+    assert not caplog.records
 
 
 @pytest.mark.parametrize("text", [

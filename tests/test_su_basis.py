@@ -1,13 +1,15 @@
 import dataclasses
 import itertools
+import pathlib
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from sic_simplex import su_basis
+from sic_simplex import state_simplex, su_basis
 from sic_simplex.state_simplex import build_context
 from sic_simplex.su_basis import (SuBasis, build_su_basis, structure_constants,
-                                  star_product)
+                                  star_product, trace_columns)
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]])
@@ -96,15 +98,20 @@ def test_structure_constants_are_built_once_per_basis():
     assert structure_constants(basis) is structure_constants(basis)
 
 
-def test_two_contexts_run_the_triple_trace_kernel_once(monkeypatch):
+def _count_kernel_runs(monkeypatch):
     calls = []
     kernel = su_basis._triple_traces
 
-    def counted(basis):
+    def counted(basis, emit):
         calls.append(basis.d)
-        return kernel(basis)
+        return kernel(basis, emit)
 
     monkeypatch.setattr(su_basis, "_triple_traces", counted)
+    return calls
+
+
+def test_two_contexts_run_the_triple_trace_kernel_once(monkeypatch):
+    calls = _count_kernel_runs(monkeypatch)
     # a fresh basis for d = 2, whose context needs no fiducial search
     build_su_basis.cache_clear()
     a, b = build_context(2), build_context(2)
@@ -112,12 +119,64 @@ def test_two_contexts_run_the_triple_trace_kernel_once(monkeypatch):
     assert a.basis is b.basis and a.sc is b.sc
 
 
+def test_context_leaves_the_dense_tables_unbuilt(monkeypatch, tmp_path):
+    calls = _count_kernel_runs(monkeypatch)
+    # a fresh basis, whose dense tables no other test can have built
+    monkeypatch.setattr(state_simplex, "build_su_basis",
+                        build_su_basis.__wrapped__)
+    catalog = tmp_path / "cat.json"
+    catalog.write_text((pathlib.Path(__file__).parents[1] / "perfbench"
+                        / "fiducials.json").read_text())
+    sc = build_context(3, catalog_path=str(catalog)).sc
+    assert "_dense" not in vars(sc)
+    assert calls == [3]
+    # one more run of the kernel builds both references, once
+    assert sc.f is sc.f and sc.dsym is sc.dsym
+    assert calls == [3, 3]
+
+
+def _assert_entries_are_the_nonzero_dense_entries(sc):
+    a, b, c = np.nonzero(sc.dsym)
+    entries = sc.dsym_entries
+    assert len(entries) == 4
+    for got, want in zip(entries, (a, b, c, sc.dsym[a, b, c])):
+        assert np.array_equal(got, want)
+        assert got.dtype == want.dtype
+        assert not got.flags.writeable
+
+
+@pytest.mark.parametrize("d, order", [
+    *((d, "gell-mann") for d in range(2, 9)),
+    *((d, order) for d in (2, 3, 5, 8) for order in ("shuffled", "rotated"))])
+def test_entries_are_the_nonzero_dense_entries_in_c_order(d, order):
+    basis = _other_basis(d, order, np.random.default_rng(50 + d))
+    _assert_entries_are_the_nonzero_dense_entries(structure_constants(basis))
+
+
+def test_building_the_entries_allocates_no_dense_table():
+    # a fresh d = 10 basis: its dense f and dsym would take 15.5 MB
+    basis = build_su_basis.__wrapped__(10)
+    trace_columns(basis)  # the basis's own table, built outside the measure
+    tracemalloc.start()
+    try:
+        sc = structure_constants(basis)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
+    assert len(sc.dsym_entries[0]) == 5464
+    assert "_dense" not in vars(sc)
+
+
 @pytest.mark.parametrize("d", range(2, 9))
 def test_cached_structure_constants_equal_a_fresh_table(d):
     sc = structure_constants(build_su_basis(d))
-    fresh = su_basis._triple_traces(build_su_basis.__wrapped__(d))
-    assert np.array_equal(sc.f, fresh.f)
-    assert np.array_equal(sc.dsym, fresh.dsym)
+    fresh = build_su_basis.__wrapped__(d)
+    for got, want in zip(sc.dsym_entries, su_basis._dsym_entries(fresh)):
+        assert np.array_equal(got, want)
+    f, dsym = su_basis._dense_tables(fresh)
+    assert np.array_equal(sc.f, f)
+    assert np.array_equal(sc.dsym, dsym)
 
 
 def _levi_civita(a, b, c):
@@ -239,6 +298,21 @@ def test_star_product_symmetric_in_arguments():
                                star_product(r2, r1, sc), atol=1e-13)
 
 
+def _other_basis(d, order, rng):
+    if order == "gell-mann":
+        return build_su_basis(d)
+    m = d * d - 1
+    mats = build_su_basis(d).matrices
+    if order == "shuffled":
+        mats = mats[rng.permutation(m)]
+    else:
+        # an orthogonal mix keeps Tr(sigma_a sigma_b) = 2 delta_ab but makes
+        # dsym dense; the sparse sum must still be exact
+        mats = np.einsum('ab,bij->aij', np.linalg.qr(rng.normal(size=(m, m)))[0],
+                         mats)
+    return SuBasis(d=d, matrices=mats)
+
+
 def _assert_star_product_matches_dense(sc, rng):
     m = sc.d * sc.d - 1
     for _ in range(10):
@@ -257,16 +331,7 @@ def test_star_product_matches_dense_contraction(d):
 @pytest.mark.parametrize("d", [2, 3, 5, 8])
 def test_star_product_matches_dense_contraction_in_other_bases(d, order):
     rng = np.random.default_rng(50 + d)
-    m = d * d - 1
-    mats = build_su_basis(d).matrices
-    if order == "shuffled":
-        mats = mats[rng.permutation(m)]
-    else:
-        # an orthogonal mix keeps Tr(sigma_a sigma_b) = 2 delta_ab but makes
-        # dsym dense; the sparse sum must still be exact
-        mats = np.einsum('ab,bij->aij', np.linalg.qr(rng.normal(size=(m, m)))[0],
-                         mats)
-    sc = structure_constants(SuBasis(d=d, matrices=mats))
+    sc = structure_constants(_other_basis(d, order, rng))
     _assert_star_product_matches_dense(sc, rng)
 
 
