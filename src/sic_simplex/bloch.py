@@ -79,7 +79,9 @@ def to_bloch(rho: np.ndarray, basis: SuBasis) -> np.ndarray:
     rho = np.asarray(rho)
     if rho.shape[-2:] != (d, d):
         raise ValueError(f"expected {d}x{d} matrix, got shape {rho.shape}")
-    herm = _max_abs(rho - np.swapaxes(rho, -1, -2).conj())
+    # the ufunc, not .conj(), which returns a real rho itself
+    diff = np.conjugate(np.swapaxes(rho, -1, -2))
+    herm = _max_abs(np.subtract(rho, diff, out=diff))
     if not herm <= HERM_TRACE_TOL:
         raise ValueError(f"not Hermitian: max |rho - rho^dag| = {herm:.3e}")
     trace_err = _max_abs(np.trace(rho, axis1=-2, axis2=-1) - 1.0)
@@ -137,29 +139,34 @@ def random_density_matrix(d: int, seed, size: int | None = None) -> np.ndarray:
     `seed` is an int or a numpy Generator; results are deterministic for a
     given int seed.  With an int `size` the result is a stack of that many
     samples, equal byte for byte to as many sequential calls on
-    the same generator: one (size, 2, d, d) normal draw takes the real and
-    imaginary parts of each G in the same order.
+    the same generator: one (size, 2, d, d) standard normal draw takes the
+    real and imaginary parts of each G in the same order.  G is assembled in
+    one complex array and rho is normalized in place.
     """
     if d < 2:
         raise ValueError(f"need d >= 2, got d={d}")
     rng = np.random.default_rng(seed)
-    x = rng.normal(size=_stack(size) + (2, d, d))
-    g = x[..., 0, :, :] + 1j * x[..., 1, :, :]
+    x = rng.standard_normal(_stack(size) + (2, d, d))
+    g = np.empty(_stack(size) + (d, d), dtype=complex)
+    g.real, g.imag = x[..., 0, :, :], x[..., 1, :, :]
     rho = g @ np.swapaxes(g.conj(), -1, -2)
-    return rho / np.trace(rho, axis1=-2, axis2=-1).real[..., None, None]
+    rho /= np.trace(rho, axis1=-2, axis2=-1).real[..., None, None]
+    return rho
 
 
 def random_pure_state(d: int, seed, size: int | None = None) -> np.ndarray:
     """Haar-random rank-1 projector |psi><psi|; `size` stacks samples as in
-    `random_density_matrix`."""
+    `random_density_matrix`.  psi is assembled in one complex array and
+    normalized in place before its outer product."""
     if d < 2:
         raise ValueError(f"need d >= 2, got d={d}")
     rng = np.random.default_rng(seed)
-    x = rng.normal(size=_stack(size) + (2, d))
-    psi = x[..., 0, :] + 1j * x[..., 1, :]
-    # |psi|^2 as two real dot products, the same sum np.linalg.norm forms
+    x = rng.standard_normal(_stack(size) + (2, d))
+    psi = np.empty(_stack(size) + (d,), dtype=complex)
+    psi.real, psi.imag = x[..., 0, :], x[..., 1, :]
+    # |psi|^2 as two real dot products, the same sum np.linalg.norm forms;
+    # einsum and .sum round differently in the last bit
     re, im = psi.real[..., None, :], psi.imag[..., None, :]
     norm2 = re @ np.swapaxes(re, -1, -2) + im @ np.swapaxes(im, -1, -2)
-    psi = psi / np.sqrt(norm2[..., 0])
+    psi /= np.sqrt(norm2[..., 0])
     return psi[..., :, None] * psi.conj()[..., None, :]
-

@@ -161,7 +161,7 @@ def _verify_one(d: int, args) -> dict:
     p2_dev = 0.0
     target_norm2 = (d - 1.0) / (d + 1.0)
     target_p2 = 2.0 / (d * (d + 1.0))
-    for size in sample_blocks(args.samples):
+    for size in sample_blocks(args.samples, d):
         rho = bloch.random_pure_state(d, rng, size=size)
         p = state_to_probabilities(rho, ctx)
         s = probabilities_to_point(p, ctx)
@@ -186,8 +186,6 @@ def _verify_one(d: int, args) -> dict:
 
 def _cmd_verify(args) -> int:
     dims = list(range(2, 6)) if args.all else [args.d]
-    if dims == [None]:
-        raise ValueError("verify needs --d or --all")
     results = [_verify_one(d, args) for d in dims]
     for res in results:
         print(f"d={res['d']}: max point-vs-Bloch deviation "
@@ -268,8 +266,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="check the point-vs-Bloch identity "
                                       "and pure-state laws numerically")
-    p.add_argument("--d", type=_dim, default=None)
-    p.add_argument("--all", action="store_true", help="sweep d = 2..5")
+    # exactly one of them, so no dimension given is silently dropped
+    dims = p.add_mutually_exclusive_group(required=True)
+    dims.add_argument("--d", type=_dim)
+    dims.add_argument("--all", action="store_true", help="sweep d = 2..5")
     p.add_argument("--samples", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tol", type=float, default=1e-10)

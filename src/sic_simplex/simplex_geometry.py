@@ -62,13 +62,17 @@ def frame_from_vertices(vertices: np.ndarray, tol: float = 1e-10) -> SimplexFram
 def to_point(p: np.ndarray, frame: SimplexFrame) -> np.ndarray:
     """Map a distribution over n+1 outcomes to s = sum_i p_i t_i.
 
-    `p` may carry leading batch axes, (..., n+1) -> (..., n); every row must
-    lie in [0, 1] and sum to 1, and NaN fails both checks.
+    `p` may carry leading batch axes, (..., n+1) -> (..., n); every entry
+    must lie in [0, 1] within `MEMBERSHIP_TOL` and every row must sum to 1,
+    and NaN fails both checks.  The [0, 1] check reads the min and max of p,
+    which NaN propagates to, so it makes no array of p's size.
     """
     p = np.asarray(p, dtype=float)
     if p.shape[-1:] != (frame.n + 1,):
         raise ValueError(f"expected {frame.n + 1} probabilities, got {p.shape}")
-    if not np.all((p >= -MEMBERSHIP_TOL) & (p <= 1.0 + MEMBERSHIP_TOL)):
+    # initial=0.0 leaves both checks unchanged and admits an empty batch
+    lo, hi = np.min(p, initial=0.0), np.max(p, initial=0.0)
+    if not (lo >= -MEMBERSHIP_TOL and hi <= 1.0 + MEMBERSHIP_TOL):
         raise ValueError("probabilities out of [0, 1]")
     sum_err = float(np.max(np.abs(p.sum(axis=-1) - 1.0), initial=0.0))
     if not sum_err <= 1e-12:

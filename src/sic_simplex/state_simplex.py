@@ -25,16 +25,27 @@ IN_SIMPLEX_NOT_STATE = "in_simplex_not_state"
 MIXED_STATE = "mixed_state"
 PURE_STATE = "pure_state"
 
-# states per batched call in the sampling sweeps; bounds their temporaries
-SAMPLE_BLOCK = 250
+# bytes of the (N, d, d) complex state stack of one batched call in the
+# sampling sweeps; no array of a block is larger.  Small blocks keep the
+# sweeps' memory flat in the sample count and let the allocator reuse heap
+# memory from block to block instead of mapping fresh pages for each
+SAMPLE_BLOCK_BYTES = 128 * 1024
 # smallest eigenvalue below -this makes a sphere point a non-state witness
 MIN_WITNESS_NEGATIVITY = 1e-6
 
 
-def sample_blocks(samples: int) -> list:
-    """Sizes of the batched calls that together draw `samples` states."""
-    return [min(SAMPLE_BLOCK, samples - k)
-            for k in range(0, samples, SAMPLE_BLOCK)]
+def sample_blocks(samples: int, d: int) -> list:
+    """Sizes of the batched calls that together draw `samples` d x d states.
+
+    Each block holds as many states as fit one (N, d, d) complex stack in
+    `SAMPLE_BLOCK_BYTES`, and at least one; only the last block is shorter.
+    The draws do not depend on the blocking, and the sweeps' memory is flat
+    in `samples`.
+    """
+    per_state = d * d * np.dtype(complex).itemsize
+    per_block = max(1, SAMPLE_BLOCK_BYTES // per_state)
+    return [min(per_block, samples - k)
+            for k in range(0, samples, per_block)]
 
 
 @dataclass
@@ -83,7 +94,10 @@ def _bloch_to_probabilities(r: np.ndarray, ctx: QuantumSimplexContext) -> np.nda
     """p_i = 1/d**2 + ((d+1)/d**2) e_i . r for Bloch vectors r, (..., m) ->
     (..., d**2)."""
     d = ctx.d
-    return 1.0 / d ** 2 + (d + 1.0) / d ** 2 * (r @ ctx.sic.bloch_dirs.T)
+    p = r @ ctx.sic.bloch_dirs.T
+    p *= (d + 1.0) / d ** 2
+    p += 1.0 / d ** 2
+    return p
 
 
 def probabilities_to_point(p: np.ndarray, ctx: QuantumSimplexContext) -> np.ndarray:
@@ -102,16 +116,21 @@ def verify_b_equals_q(ctx: QuantumSimplexContext, samples: int, seed) -> float:
     """Max | (s - r) |_inf over Ginibre-sampled states, where s is the
     simplex point of the state's SIC probabilities and r its Bloch vector.
     The two should agree to roundoff for any dimension; NaN anywhere makes
-    the result NaN."""
+    the result NaN.
+
+    The states are drawn and mapped in the blocks of `sample_blocks`, and
+    |s - r| is formed in place in s, so no array outlives its block.
+    """
     if samples < 1:
         raise ValueError("need at least one sample")
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for size in sample_blocks(samples):
+    for size in sample_blocks(samples, ctx.d):
         rho = bloch.random_density_matrix(ctx.d, rng, size=size)
         r = bloch.to_bloch(rho, ctx.basis)
         s = probabilities_to_point(_bloch_to_probabilities(r, ctx), ctx)
-        worst = np.maximum(worst, np.max(np.abs(s - r)))
+        s -= r
+        worst = np.maximum(worst, np.max(np.abs(s, out=s)))
     return float(worst)
 
 

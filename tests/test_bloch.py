@@ -271,6 +271,37 @@ def test_batched_draws_equal_sequential_draws(sampler, d):
     assert batched.tobytes() == sequential.tobytes()
 
 
+def _ginibre_reference(d, rng, size):
+    # the sampler's formulas as first written, kept as the reference
+    x = rng.normal(size=(() if size is None else (size,)) + (2, d, d))
+    g = x[..., 0, :, :] + 1j * x[..., 1, :, :]
+    rho = g @ np.swapaxes(g.conj(), -1, -2)
+    return rho / np.trace(rho, axis1=-2, axis2=-1).real[..., None, None]
+
+
+def _haar_reference(d, rng, size):
+    x = rng.normal(size=(() if size is None else (size,)) + (2, d))
+    psi = x[..., 0, :] + 1j * x[..., 1, :]
+    re, im = psi.real[..., None, :], psi.imag[..., None, :]
+    norm2 = re @ np.swapaxes(re, -1, -2) + im @ np.swapaxes(im, -1, -2)
+    psi = psi / np.sqrt(norm2[..., 0])
+    return psi[..., :, None] * psi.conj()[..., None, :]
+
+
+@pytest.mark.parametrize("sampler, reference",
+                         [(random_density_matrix, _ginibre_reference),
+                          (random_pure_state, _haar_reference)])
+@pytest.mark.parametrize("d", range(2, 9))
+def test_samplers_equal_the_reference_formulas(sampler, reference, d):
+    # verify's outputs are functions of these bytes
+    for seed in (0, 12345):
+        for size in (None, 1, 37, 1000):
+            got = sampler(d, seed, size=size)
+            want = reference(d, np.random.default_rng(seed), size)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+
 def test_validate_density_matrix_rejects():
     with pytest.raises(ValueError):
         validate_density_matrix(np.array([[0.5, 0.1], [0.3, 0.5]]))  # not Hermitian

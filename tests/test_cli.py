@@ -122,8 +122,18 @@ def test_verify_refuses_non_finite_output(fmt, tmp_path, monkeypatch):
     assert not out.exists()
 
 
-def test_verify_needs_dimension():
-    assert main(["verify", "--samples", "10"]) != 0
+def test_verify_needs_dimension(tmp_path):
+    out = tmp_path / "verify.json"
+    assert main(["verify", "--samples", "10", "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+def test_verify_refuses_d_with_all(tmp_path):
+    # --all would otherwise sweep d = 2..5 and drop the --d it was given
+    out = tmp_path / "verify.json"
+    assert main(["verify", "--all", "--d", "7", "--samples", "10",
+                 "--out", str(out)]) == 2
+    assert not out.exists()
 
 
 def test_verify_refuses_corrupted_fiducial(tmp_path):

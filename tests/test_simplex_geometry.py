@@ -68,6 +68,24 @@ def test_to_point_validates():
         to_point(np.full(4, 0.3), frame)        # sums to 1.2
 
 
+def test_to_point_range_gate_is_inclusive():
+    frame = build_simplex_frame(3)
+    lo, hi = -MEMBERSHIP_TOL, 1.0 + MEMBERSHIP_TOL
+    # each row sums to 1 within the sum check
+    for row in ([lo, MEMBERSHIP_TOL, 0.5, 0.5], [hi, lo / 2, lo / 2, 0.0]):
+        to_point(np.array([row, [0.25] * 4]), frame)
+    for row in ([np.nextafter(lo, -1.0), MEMBERSHIP_TOL, 0.5, 0.5],
+                [np.nextafter(hi, 2.0), lo / 2, lo / 2, 0.0],
+                [np.nan, 0.0, 0.5, 0.5]):
+        with pytest.raises(ValueError, match=r"out of \[0, 1\]"):
+            to_point(np.array([[0.25] * 4, row]), frame)
+
+
+def test_to_point_maps_an_empty_batch():
+    frame = build_simplex_frame(3)
+    assert to_point(np.empty((0, 4)), frame).shape == (0, 3)
+
+
 @pytest.mark.parametrize("n", [3, 8, 15, 24])
 def test_batched_to_point_matches_rows(n):
     frame = build_simplex_frame(n)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -147,6 +149,31 @@ def test_identity_map_on_maximally_mixed(contexts):
     r = bloch.to_bloch(rho, ctx.basis)
     s = probabilities_to_point(state_to_probabilities(rho, ctx), ctx)
     assert np.max(np.abs(s - r)) < 1e-14
+
+
+@pytest.mark.parametrize("samples", [1, 999, 1000, 12345])
+@pytest.mark.parametrize("d", [2, 3, 5, 8, 11, 100])
+def test_sample_blocks_fit_the_byte_budget(d, samples):
+    blocks = state_simplex.sample_blocks(samples, d)
+    assert sum(blocks) == samples
+    assert len(set(blocks[:-1])) <= 1 and blocks[-1] <= blocks[0]
+    stack_bytes = blocks[0] * d * d * np.dtype(complex).itemsize
+    assert stack_bytes <= state_simplex.SAMPLE_BLOCK_BYTES or blocks[0] == 1
+
+
+def test_sample_blocks_at_the_verify_dimensions():
+    assert state_simplex.sample_blocks(1000, 2) == [1000]
+    assert state_simplex.sample_blocks(1000, 8) == [128] * 7 + [104]
+    assert state_simplex.sample_blocks(3, 100) == [1, 1, 1]
+
+
+def test_verify_propagates_nan_from_the_frame(contexts):
+    ctx = contexts[3]
+    vertices = ctx.frame.vertices.copy()
+    vertices[4, 2] = np.nan
+    bad = dataclasses.replace(
+        ctx, frame=dataclasses.replace(ctx.frame, vertices=vertices))
+    assert np.isnan(verify_b_equals_q(bad, samples=50, seed=0))
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
