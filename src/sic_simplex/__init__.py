@@ -19,13 +19,12 @@ from .bloch import (from_bloch, to_bloch, is_state, is_pure,
 from .sic_povm import (Fiducial, SicPovm, displacement_operators, wh_orbit,
                        sic_residual, find_fiducial, build_sic, get_fiducial,
                        qubit_tetrahedron_fiducial)
-from .state_simplex import (QuantumSimplexContext, GeometryReport,
-                            build_context, state_to_probabilities,
-                            probabilities_to_point, point_to_state,
-                            verify_b_equals_q, geometry_report,
-                            classify_point, find_nonstate_sphere_point,
-                            simulate_tomography, trace_distance,
-                            project_to_state)
+from .state_simplex import (QuantumSimplexContext, build_context,
+                            state_to_probabilities, probabilities_to_point,
+                            point_to_state, verify_b_equals_q,
+                            geometry_report, classify_point,
+                            find_nonstate_sphere_point, simulate_tomography,
+                            trace_distance, project_to_state)
 
 __version__ = "0.1.0"
 
@@ -39,7 +38,7 @@ __all__ = [
     "Fiducial", "SicPovm", "displacement_operators", "wh_orbit",
     "sic_residual", "find_fiducial", "build_sic",
     "get_fiducial", "qubit_tetrahedron_fiducial",
-    "QuantumSimplexContext", "GeometryReport", "build_context",
+    "QuantumSimplexContext", "build_context",
     "state_to_probabilities", "probabilities_to_point", "point_to_state",
     "verify_b_equals_q", "geometry_report", "classify_point",
     "find_nonstate_sphere_point", "simulate_tomography", "trace_distance",

@@ -31,18 +31,26 @@ def _max_abs(x) -> float:
     return float(np.max(np.abs(x), initial=0.0))
 
 
+def _check_hermitian_unit_trace(rho: np.ndarray) -> None:
+    """Raise ValueError unless every matrix of the (..., d, d) stack rho is
+    Hermitian with unit trace within `HERM_TRACE_TOL`; NaN fails both."""
+    # the ufunc, not .conj(), which returns a real rho itself
+    diff = np.conjugate(np.swapaxes(rho, -1, -2))
+    herm = _max_abs(np.subtract(rho, diff, out=diff))
+    if not herm <= HERM_TRACE_TOL:
+        raise ValueError(f"not Hermitian: max |rho - rho^dag| = {herm:.3e}")
+    trace_err = _max_abs(np.einsum('...ii->...', rho) - 1.0)
+    if not trace_err <= HERM_TRACE_TOL:
+        raise ValueError(f"trace is off 1 by {trace_err:.3e}")
+
+
 def validate_density_matrix(rho: np.ndarray) -> None:
-    """Raise ValueError unless rho is Hermitian, unit-trace and PSD (within
-    `HERM_TRACE_TOL` and `PSD_TOL`); NaN fails every check."""
+    """Raise ValueError unless rho is a square matrix, Hermitian, unit-trace
+    and PSD (within `HERM_TRACE_TOL` and `PSD_TOL`); NaN fails every check."""
     rho = np.asarray(rho)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise ValueError(f"density matrix must be square, got shape {rho.shape}")
-    herm = np.max(np.abs(rho - rho.conj().T))
-    if not herm <= HERM_TRACE_TOL:
-        raise ValueError(f"not Hermitian: max |rho - rho^dag| = {herm:.3e}")
-    tr = np.trace(rho)
-    if not abs(tr - 1.0) <= HERM_TRACE_TOL:
-        raise ValueError(f"trace is {tr!r}, expected 1")
+    _check_hermitian_unit_trace(rho)
     min_eig = float(np.linalg.eigvalsh(rho)[0])
     if not min_eig >= -PSD_TOL:
         raise ValueError(f"not PSD: min eigenvalue {min_eig:.3e}")
@@ -79,14 +87,7 @@ def to_bloch(rho: np.ndarray, basis: SuBasis) -> np.ndarray:
     rho = np.asarray(rho)
     if rho.shape[-2:] != (d, d):
         raise ValueError(f"expected {d}x{d} matrix, got shape {rho.shape}")
-    # the ufunc, not .conj(), which returns a real rho itself
-    diff = np.conjugate(np.swapaxes(rho, -1, -2))
-    herm = _max_abs(np.subtract(rho, diff, out=diff))
-    if not herm <= HERM_TRACE_TOL:
-        raise ValueError(f"not Hermitian: max |rho - rho^dag| = {herm:.3e}")
-    trace_err = _max_abs(np.trace(rho, axis1=-2, axis2=-1) - 1.0)
-    if not trace_err <= HERM_TRACE_TOL:
-        raise ValueError(f"trace is off 1 by {trace_err:.3e}")
+    _check_hermitian_unit_trace(rho)
     traces = rho.reshape(rho.shape[:-2] + (d * d,)) @ trace_columns(basis)
     if not _max_abs(traces.imag) <= HERM_TRACE_TOL:
         raise ValueError("Tr(rho sigma_a) has imaginary part beyond tolerance")
@@ -103,14 +104,14 @@ def is_state(r: np.ndarray, basis: SuBasis):
     return min_eig >= -PSD_TOL, min_eig
 
 
-def is_pure(r: np.ndarray, sc: StructureConstants, tol: float = PURITY_TOL) -> bool:
+def is_pure(r: np.ndarray, sc: StructureConstants) -> bool:
     """Pure-state test on the Bloch vector itself.
 
     True iff |r|^2 = (d-1)/(d+1) and r * r = (d-2) sqrt(2/(d(d+1))) r, both
-    within `tol`.  The norm is tested first, and a vector that fails it (NaN
-    included) is refused without forming the star product.  For d = 2 the
-    star-product condition holds trivially (dsym vanishes and the prefactor
-    is zero).
+    within `PURITY_TOL`.  The norm is tested first, and a vector that fails
+    it (NaN included) is refused without forming the star product.  For
+    d = 2 the star-product condition holds trivially (dsym vanishes and the
+    prefactor is zero).
 
     Raises
     ------
@@ -121,12 +122,12 @@ def is_pure(r: np.ndarray, sc: StructureConstants, tol: float = PURITY_TOL) -> b
     r = np.asarray(r, dtype=float)
     if r.shape != (d * d - 1,):
         raise ValueError(f"expected Bloch vector of length {d * d - 1}, got {r.shape}")
-    if not abs(r @ r - (d - 1.0) / (d + 1.0)) <= tol:
+    if not abs(r @ r - (d - 1.0) / (d + 1.0)) <= PURITY_TOL:
         return False
     prefactor = (d - 2.0) * math.sqrt(2.0 / (d * (d + 1.0)))
     defect = star_product(r, r, sc) - prefactor * r
     # sqrt(defect . defect), the sum np.linalg.norm forms for a real vector
-    return math.sqrt(defect @ defect) <= tol
+    return math.sqrt(defect @ defect) <= PURITY_TOL
 
 
 def _stack(size: int | None) -> tuple:

@@ -29,10 +29,10 @@ from . import bloch, state_simplex
 from .sic_povm import (fiducial_from_json, fiducial_to_json, find_fiducial,
                        record_fiducial)
 from .simplex_geometry import to_probabilities
-from .state_simplex import (build_context, geometry_report, report_to_json,
-                            sample_blocks, simulate_tomography,
-                            state_to_probabilities, probabilities_to_point,
-                            point_to_state, verify_b_equals_q)
+from .state_simplex import (build_context, geometry_report, sample_blocks,
+                            simulate_tomography, state_to_probabilities,
+                            probabilities_to_point, point_to_state,
+                            verify_b_equals_q)
 
 GEOMETRY_CSV_COLUMNS = ["d", "R_out", "R_in", "R_pure", "m_pure",
                         "sum_p2_pure", "pure_sphere_is_inner"]
@@ -134,8 +134,7 @@ def _context(d: int, args) -> state_simplex.QuantumSimplexContext:
 
 
 def _cmd_geometry(args) -> int:
-    rep = geometry_report(args.d)
-    obj = report_to_json(rep)
+    obj = geometry_report(args.d)
     if args.format == "json":
         _write_json(obj, args.out)
     else:
@@ -169,7 +168,7 @@ def _verify_one(d: int, args) -> dict:
             np.einsum('ka,ka->k', s, s) - target_norm2)))
         p2_dev = np.maximum(p2_dev, np.max(np.abs(
             np.einsum('ki,ki->k', p, p) - target_p2)))
-    geo = report_to_json(geometry_report(d))
+    geo = geometry_report(d)
     return {
         # d and the geometry fields of the CSV columns
         **{k: geo[k] for k in VERIFY_CSV_COLUMNS if k in geo},
@@ -306,7 +305,9 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (ValueError, OSError, KeyError) as exc:
+    # OverflowError: a flag value out of range, such as a --shots that
+    # numpy's sampler cannot take
+    except (ValueError, OSError, KeyError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

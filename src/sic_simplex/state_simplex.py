@@ -83,10 +83,6 @@ def state_to_probabilities(rho: np.ndarray, ctx: QuantumSimplexContext) -> np.nd
 
     `rho` may carry leading batch axes, (..., d, d) -> (..., d**2).
     """
-    d = ctx.d
-    rho = np.asarray(rho)
-    if rho.shape[-2:] != (d, d):
-        raise ValueError(f"expected {d}x{d} state, got shape {rho.shape}")
     return _bloch_to_probabilities(bloch.to_bloch(rho, ctx.basis), ctx)
 
 
@@ -134,65 +130,40 @@ def verify_b_equals_q(ctx: QuantumSimplexContext, samples: int, seed) -> float:
     return float(worst)
 
 
-@dataclass
-class GeometryReport:
-    """Radii and facet data of the state body inside the outcome simplex.
+def geometry_report(d: int) -> dict:
+    """Radii and facet data of the state body inside the outcome simplex, as
+    the JSON object `geometry` writes.
 
-    r_pure is the radius of the sphere carrying the pure states; it touches
+    R_pure is the radius of the sphere carrying the pure states; it touches
     the facets of dimension m_pure = (d+2)(d-1)/2, and every pure state has
-    sum_i p_i^2 = 2/(d(d+1)).  For d = 2 (and only then) the pure sphere is
-    the simplex's inscribed sphere.
+    sum_i p_i^2 = 2/(d(d+1)).  d_m lists the distances to the m-facets,
+    m = 0..d**2-1.  For d = 2 (and only then) the pure sphere is the
+    simplex's inscribed sphere.
     """
-
-    d: int
-    r_out: float
-    r_in: float
-    r_pure: float
-    m_pure: int
-    d_m: np.ndarray          # distances to the m-facets, m = 0..d**2-1
-    sum_p2_pure: float
-    pure_sphere_is_inner: bool
-
-
-def geometry_report(d: int) -> GeometryReport:
     if d < 2:
         raise ValueError(f"need d >= 2, got d={d}")
     n = d * d - 1
+    r_out = facet_distance(n, 0)
+    r_in = facet_distance(n, n - 1)
     r_pure = float(np.sqrt((d - 1.0) / (d + 1.0)))
     m_pure = (d + 2) * (d - 1) // 2
-    d_m = np.array([facet_distance(n, m) for m in range(n + 1)])
-    rep = GeometryReport(
-        d=d,
-        r_out=facet_distance(n, 0),
-        r_in=facet_distance(n, n - 1),
-        r_pure=r_pure,
-        m_pure=m_pure,
-        d_m=d_m,
-        sum_p2_pure=2.0 / (d * (d + 1.0)),
-        pure_sphere_is_inner=(d == 2),
-    )
     # internal consistency before handing out numbers, as raises that
     # python -O keeps, each written so that NaN fails it
-    if not abs(facet_distance(n, m_pure) - rep.r_pure) < 1e-12:
+    if not abs(facet_distance(n, m_pure) - r_pure) < 1e-12:
         raise RuntimeError(f"d={d}: the m_pure-facet distance is not R_pure")
-    if not (rep.r_in <= rep.r_pure + 1e-15
-            and rep.r_pure <= rep.r_out + 1e-15):
+    if not (r_in <= r_pure + 1e-15 and r_pure <= r_out + 1e-15):
         raise RuntimeError(f"d={d}: R_pure lies outside [R_in, R_out]")
-    if not ((abs(rep.r_in - rep.r_pure) < 1e-15) == (d == 2)):
+    if not ((abs(r_in - r_pure) < 1e-15) == (d == 2)):
         raise RuntimeError(f"d={d}: R_in == R_pure must hold for d = 2 only")
-    return rep
-
-
-def report_to_json(rep: GeometryReport) -> dict:
     return {
-        "d": rep.d,
-        "R_out": rep.r_out,
-        "R_in": rep.r_in,
-        "R_pure": rep.r_pure,
-        "m_pure": rep.m_pure,
-        "d_m": [float(x) for x in rep.d_m],
-        "sum_p2_pure": rep.sum_p2_pure,
-        "pure_sphere_is_inner": rep.pure_sphere_is_inner,
+        "d": d,
+        "R_out": r_out,
+        "R_in": r_in,
+        "R_pure": r_pure,
+        "m_pure": m_pure,
+        "d_m": [facet_distance(n, m) for m in range(n + 1)],
+        "sum_p2_pure": 2.0 / (d * (d + 1.0)),
+        "pure_sphere_is_inner": d == 2,
     }
 
 

@@ -105,12 +105,11 @@ def test_criterion_5_pure_state_bloch_conditions():
         rng = np.random.default_rng(900 + d)
         pure_pass = sum(
             bloch.is_pure(bloch.to_bloch(bloch.random_pure_state(d, rng), basis),
-                          sc, tol=1e-9)
+                          sc)
             for _ in range(500))
         mixed_fail = sum(
             not bloch.is_pure(
-                bloch.to_bloch(bloch.random_density_matrix(d, rng), basis),
-                sc, tol=1e-9)
+                bloch.to_bloch(bloch.random_density_matrix(d, rng), basis), sc)
             for _ in range(500))
         ok = ok and pure_pass == 500 and mixed_fail == 500
         details.append(f"d={d}: {pure_pass}/500 pure, {mixed_fail}/500 mixed")

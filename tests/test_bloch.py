@@ -313,6 +313,12 @@ def test_validate_density_matrix_rejects():
         validate_density_matrix(np.array([[np.nan, 0.0], [0.0, 0.5]]))  # NaN
 
 
+def test_validate_density_matrix_refuses_empty_matrix():
+    # an empty matrix has trace 0, which the gate's trace check refuses
+    with pytest.raises(ValueError, match="trace"):
+        validate_density_matrix(np.zeros((0, 0)))
+
+
 # adversarial single-entry edits of a Ginibre state: both gates must refuse
 # each, whichever entry is hit
 GATES = [lambda rho: to_bloch(rho, BASES[rho.shape[0]]), validate_density_matrix]

@@ -10,6 +10,7 @@ from sic_simplex import bloch, cli, sic_povm
 from sic_simplex.cli import build_parser, main
 from sic_simplex.sic_povm import (DEFAULT_TARGET_RESIDUAL, find_fiducial,
                                   fiducial_to_json, qubit_tetrahedron_fiducial)
+from sic_simplex.state_simplex import geometry_report
 
 
 def _read_json(path):
@@ -46,6 +47,14 @@ def test_geometry_csv_flags_inner_sphere(tmp_path):
     assert fields[0] == "2"
     assert fields[2] == fields[3]          # R_in == R_pure for d = 2
     assert fields[-1] == "True"
+
+
+@pytest.mark.parametrize("d", range(2, 9))
+def test_geometry_json_is_the_report(d, tmp_path):
+    out = tmp_path / "geom.json"
+    assert main(["geometry", "--d", str(d), "--out", str(out)]) == 0
+    assert out.read_text() == json.dumps(geometry_report(d), sort_keys=True,
+                                         indent=2) + "\n"
 
 
 def test_geometry_rejects_d1():
@@ -100,6 +109,17 @@ def test_verify_qubit_passes(tmp_path):
     res = _read_json(out)[0]
     assert res["passed"] is True
     assert res["max_theorem_deviation"] < 1e-10
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_verify_geometry_fields_are_the_report(d, tmp_path, contexts):
+    out = tmp_path / "verify.json"
+    assert main(["verify", "--d", str(d), "--samples", "20", "--seed", "1",
+                 "--out", str(out)]) == 0
+    res = _read_json(out)[0]
+    rep = geometry_report(d)
+    for key in ("d", "R_out", "R_in", "R_pure", "m_pure", "sum_p2_pure"):
+        assert res[key] == rep[key]
 
 
 def test_verify_csv_columns(tmp_path):
@@ -218,6 +238,16 @@ def test_tomography_csv(tmp_path, contexts):
     fields = row.split(",")
     assert fields[0] == "5000" and fields[2] == "3"
     assert 0.0 <= float(fields[1]) < 0.2
+
+
+def test_tomography_shots_out_of_range_is_bad_input(tmp_path, capsys):
+    # past the sampler's C long: exit 2 with one error line, no traceback
+    state = _write_state(tmp_path / "state.json", 2, "rho",
+                         bloch.random_density_matrix(2, 11))
+    assert main(["tomography", "--in", str(state),
+                 "--shots", "9223372036854775808"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_tomography_rejects_probability_input(tmp_path):

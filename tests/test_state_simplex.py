@@ -14,7 +14,7 @@ from sic_simplex.state_simplex import (OUTSIDE_SIMPLEX, IN_SIMPLEX_NOT_STATE,
                                        classify_point, find_nonstate_sphere_point,
                                        geometry_report, point_to_state,
                                        probabilities_to_point, project_to_state,
-                                       report_to_json, simulate_tomography,
+                                       simulate_tomography,
                                        state_to_probabilities, trace_distance,
                                        verify_b_equals_q)
 
@@ -198,26 +198,26 @@ def test_bloch_formula_matches_simplex_inversion(d, contexts):
 
 def test_geometry_report_d2():
     rep = geometry_report(2)
-    assert rep.m_pure == 2
-    assert abs(rep.r_pure - 1.0 / np.sqrt(3.0)) < 1e-15
-    assert rep.r_pure == rep.r_in
-    assert rep.pure_sphere_is_inner
-    assert abs(rep.sum_p2_pure - 1.0 / 3.0) < 1e-15
+    assert rep["m_pure"] == 2
+    assert abs(rep["R_pure"] - 1.0 / np.sqrt(3.0)) < 1e-15
+    assert rep["R_pure"] == rep["R_in"]
+    assert rep["pure_sphere_is_inner"]
+    assert abs(rep["sum_p2_pure"] - 1.0 / 3.0) < 1e-15
 
 
 def test_geometry_report_d3():
     rep = geometry_report(3)
-    assert rep.m_pure == 5
-    assert abs(rep.r_pure - 1.0 / np.sqrt(2.0)) < 1e-15
-    assert abs(rep.sum_p2_pure - 1.0 / 6.0) < 1e-15
-    assert not rep.pure_sphere_is_inner
+    assert rep["m_pure"] == 5
+    assert abs(rep["R_pure"] - 1.0 / np.sqrt(2.0)) < 1e-15
+    assert abs(rep["sum_p2_pure"] - 1.0 / 6.0) < 1e-15
+    assert not rep["pure_sphere_is_inner"]
 
 
 def test_geometry_report_d4():
     rep = geometry_report(4)
-    assert rep.m_pure == 9
+    assert rep["m_pure"] == 9
     assert abs(facet_distance(15, 9) - np.sqrt(3.0 / 5.0)) < 1e-15
-    assert abs(rep.r_pure - np.sqrt(3.0 / 5.0)) < 1e-15
+    assert abs(rep["R_pure"] - np.sqrt(3.0 / 5.0)) < 1e-15
 
 
 @pytest.mark.parametrize("d", range(2, 9))
@@ -246,7 +246,7 @@ def test_geometry_report_rejects_d1():
 
 
 def test_report_json_fields():
-    obj = report_to_json(geometry_report(3))
+    obj = geometry_report(3)
     assert obj["m_pure"] == 5
     assert len(obj["d_m"]) == 9
     assert obj["d_m"][-1] == 0.0
