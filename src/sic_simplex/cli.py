@@ -3,9 +3,10 @@ verification, representation conversion and tomography simulation.
 
 State files are JSON objects {"d": d, key: value} holding exactly one of the
 representations rho, bloch, probabilities and point; `_read_state` and
-`_state_json` are their only reader and writer.  `convert` and `tomography`
-read and check the whole file before building a context, so a refused file
-never starts a fiducial search or writes the catalog.
+`_state_json` are their only reader and writer, and `sic_povm.json_field`
+is the one gate for "d" and the value, as for --fiducial files.  `convert`
+and `tomography` read and check the whole file before building a context,
+so a refused file never starts a fiducial search or writes the catalog.
 
 Exit status: 0 when every check passed, 1 when a check failed or `find-sic`
 did not converge, 2 on bad input.  Output files are deterministic in the
@@ -27,7 +28,7 @@ import numpy as np
 
 from . import bloch, state_simplex
 from .sic_povm import (fiducial_from_json, fiducial_to_json, find_fiducial,
-                       record_fiducial)
+                       json_field, read_json, record_fiducial)
 from .simplex_geometry import to_probabilities
 from .state_simplex import (build_context, geometry_report, sample_blocks,
                             simulate_tomography, state_to_probabilities,
@@ -74,42 +75,21 @@ def _write_csv(columns, rows, path: str | None) -> None:
             out.close()
 
 
-def _load_json(path: str) -> dict:
-    with open(path) as fh:
-        try:
-            return json.load(fh)
-        except RecursionError:
-            # the decoder recurses once per nesting level
-            raise ValueError(f"{path}: JSON nested too deeply") from None
-
-
 def _read_state(path: str) -> tuple[int, str, np.ndarray]:
     """A state file's (d, key, value), checked in full before any context
-    is built: a JSON object whose "d" is an int >= 2 (not a bool), holding
-    exactly one of `STATE_KEYS` (other keys are ignored) whose value is a
-    finite real array of shape (d, d, 2) for rho, (d**2,) for probabilities
-    and (d**2 - 1,) otherwise.  A rho value is returned as a complex matrix.
+    is built: a JSON object holding exactly one of `STATE_KEYS` (other keys
+    are ignored), whose "d" and value pass `json_field`, the value of shape
+    (d, d, 2) for rho, (d**2,) for probabilities and (d**2 - 1,) otherwise.
+    A rho value is returned as a complex matrix.
     """
-    obj = _load_json(path)
-    d = obj.get("d") if isinstance(obj, dict) else None
-    if type(d) is not int or d < 2:
-        raise ValueError('input file must be a JSON object whose "d" is an '
-                         "integer >= 2")
-    keys = [k for k in STATE_KEYS if k in obj]
+    obj = read_json(path)
+    keys = [k for k in STATE_KEYS if k in obj] if isinstance(obj, dict) else []
     if len(keys) != 1:
-        raise ValueError("input file must contain exactly one of: "
-                         + ", ".join(STATE_KEYS))
+        raise ValueError("input file must be a JSON object holding exactly "
+                         "one of: " + ", ".join(STATE_KEYS))
     key = keys[0]
-    try:
-        value = np.array(obj[key], dtype=float)
-    except (TypeError, ValueError, OverflowError):
-        raise ValueError(f"{key} entry is not an array of numbers") from None
-    shape = {"rho": (d, d, 2), "probabilities": (d * d,)}.get(key, (d * d - 1,))
-    if value.shape != shape:
-        raise ValueError(f"{key} entry has shape {value.shape}, expected "
-                         f"{shape} for d={d}")
-    if not np.all(np.isfinite(value)):
-        raise ValueError(f"{key} entry is not finite")
+    d, value = json_field(obj, key, lambda d: {
+        "rho": (d, d, 2), "probabilities": (d * d,)}.get(key, (d * d - 1,)))
     if key == "rho":
         value = value[..., 0] + 1j * value[..., 1]
     return d, key, value
@@ -125,11 +105,8 @@ def _state_json(d: int, key: str, value: np.ndarray) -> dict:
 
 
 def _context(d: int, args) -> state_simplex.QuantumSimplexContext:
-    fid = None
-    if getattr(args, "fiducial", None):
-        fid = fiducial_from_json(_load_json(args.fiducial))
-        if fid.d != d:
-            raise ValueError(f"fiducial file is for d={fid.d}, expected d={d}")
+    path = getattr(args, "fiducial", None)
+    fid = fiducial_from_json(read_json(path)) if path else None
     return build_context(d, fiducial=fid, seed=getattr(args, "seed", 0))
 
 

@@ -14,9 +14,10 @@ sphere.  Each restart stops once its worst deviation reaches the roundoff
 floor, or early once it stalls on a plateau; the first converged restart
 wins and ends the search, else the smallest residual wins.  For d = 2 an
 exact fiducial (Bloch direction (1,1,1)/sqrt(3), the regular tetrahedron)
-is built in.  A fiducial's residual, and whether it has converged
-(residual <= DEFAULT_TARGET_RESIDUAL), are always recomputed from its
-vector, never taken from storage.
+is built in.  A fiducial's residual, and so whether it has converged, is
+recomputed from its vector, never stored.  `json_field` is the one gate for
+the "d" and numeric arrays of every JSON input (state files, fiducial files,
+catalog entries), which `read_json` decodes.
 """
 
 import bisect
@@ -377,27 +378,49 @@ def fiducial_to_json(fid: Fiducial) -> dict:
     }
 
 
-def fiducial_from_json(obj: dict) -> Fiducial:
-    """Fiducial from a catalog entry or fiducial file; "residual" and
-    "converged" go unread.  "d" must be an int >= 2 (not a bool) and "psi"
-    a finite unit vector of d [re, im] pairs; anything else raises
-    ValueError."""
-    if not isinstance(obj, dict):
-        raise ValueError(f"fiducial entry is not a JSON object: {obj!r:.40}")
-    missing = sorted({"d", "psi"} - obj.keys())
-    if missing:
-        raise ValueError(f"fiducial entry has no {', '.join(missing)} field")
-    d = obj["d"]
+def read_json(path: str):
+    """`path`'s JSON value; ValueError if it is not JSON or nests too deep."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except RecursionError:
+            # the decoder recurses once per nesting level
+            raise ValueError("JSON nested too deeply") from None
+
+
+def json_field(obj: dict, key: str, shape) -> tuple[int, np.ndarray]:
+    """(d, obj[key] as an array): "d" an int >= 2 (not a bool), and obj[key]
+    a finite array of JSON numbers (no bools or strings) of shape
+    `shape(d)`; anything else raises ValueError."""
+    d = obj.get("d")
     if type(d) is not int or d < 2:
-        raise ValueError('fiducial entry "d" must be an integer >= 2, got '
+        raise ValueError('"d" must be an integer >= 2, got '
                          f"{type(d).__name__} {d!r:.40}")
     try:
-        arr = np.array(obj["psi"], dtype=float)
+        arr = np.array(obj[key], dtype=float)
     except (TypeError, ValueError, OverflowError):
-        raise ValueError('fiducial entry "psi" is not an array of '
-                         "numbers") from None
-    if arr.shape != (d, 2):
-        raise ValueError(f"malformed psi entry: shape {arr.shape} for d={d}")
+        arr = None
+    # bools and numeric strings convert too, so read the decoded leaves
+    if arr is None or not all(type(x) in (int, float)
+                              for x in np.array(obj[key], dtype=object).flat):
+        raise ValueError(f"{key} entry is not an array of numbers")
+    if arr.shape != shape(d):
+        raise ValueError(f"{key} entry has shape {arr.shape} for d={d}, "
+                         f"expected {shape(d)}")
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{key} entry is not finite")
+    return d, arr
+
+
+def fiducial_from_json(obj: dict) -> Fiducial:
+    """Fiducial from a catalog entry or fiducial file; "residual" and
+    "converged" go unread.  "d" and "psi", a unit vector of d [re, im]
+    pairs, pass `json_field`; anything else raises ValueError."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"fiducial entry is not a JSON object: {obj!r:.40}")
+    if "psi" not in obj:
+        raise ValueError("fiducial entry has no psi field")
+    d, arr = json_field(obj, "psi", lambda d: (d, 2))
     psi = arr[:, 0] + 1j * arr[:, 1]
     nrm = np.linalg.norm(psi)
     if not abs(nrm - 1.0) <= 1e-12:
@@ -413,19 +436,16 @@ def load_catalog(path: str) -> dict:
     No entry is parsed here: `get_fiducial` parses only the one it looks
     up, and `record_fiducial` writes the others back unchanged.
 
-    Raises ValueError when the file is not JSON, is JSON nested too deeply
-    to decode, or is JSON but not an object of entries."""
-    if not os.path.exists(path):
-        return {}
-    with open(path) as fh:
-        text = fh.read()
-    if not text.strip():
+    Raises ValueError when `read_json` does, or when the file is JSON but
+    not an object of entries."""
+    if not os.path.exists(path) or not os.path.getsize(path):
         return {}
     try:
-        raw = json.loads(text)
-    except RecursionError:
-        # the decoder recurses once per nesting level
-        raise ValueError("catalog JSON nested too deeply") from None
+        raw = read_json(path)
+    except json.JSONDecodeError as exc:
+        if exc.doc.strip():
+            raise
+        return {}
     if not isinstance(raw, dict):
         raise ValueError(f"catalog is a JSON {type(raw).__name__}, "
                          "not an object")

@@ -32,6 +32,8 @@ PURE_STATE = "pure_state"
 SAMPLE_BLOCK_BYTES = 128 * 1024
 # smallest eigenvalue below -this makes a sphere point a non-state witness
 MIN_WITNESS_NEGATIVITY = 1e-6
+# candidate sphere points find_nonstate_sphere_point tries before it fails
+WITNESS_TRIES = 100
 
 
 def sample_blocks(samples: int, d: int) -> list:
@@ -69,10 +71,11 @@ def build_context(d: int, fiducial: Fiducial | None = None, seed: int = 0,
     catalog/search machinery otherwise.
     """
     basis = build_su_basis(d)
-    sc = structure_constants(basis)
     if fiducial is None:
         fiducial = get_fiducial(d, seed=seed, catalog_path=catalog_path)
+    # before the structure constants: a wrong-d fiducial is refused cheaply
     sic = build_sic(fiducial, basis)
+    sc = structure_constants(basis)
     frame = SimplexFrame(n=d * d - 1, vertices=(d + 1.0) * sic.bloch_dirs)
     return QuantumSimplexContext(d=d, basis=basis, sc=sc, sic=sic, frame=frame)
 
@@ -188,8 +191,8 @@ def classify_point(s: np.ndarray, ctx: QuantumSimplexContext) -> str:
     return MIXED_STATE
 
 
-def find_nonstate_sphere_point(ctx: QuantumSimplexContext, seed=0,
-                               max_tries: int = 100) -> np.ndarray:
+def find_nonstate_sphere_point(ctx: QuantumSimplexContext,
+                               seed=0) -> np.ndarray:
     """A point on the pure-state sphere, inside the simplex, that is not a
     state.
 
@@ -203,7 +206,7 @@ def find_nonstate_sphere_point(ctx: QuantumSimplexContext, seed=0,
     d = ctx.d
     m_pure = (d + 2) * (d - 1) // 2
     r_pure = np.sqrt((d - 1.0) / (d + 1.0))
-    for attempt in range(max_tries):
+    for attempt in range(WITNESS_TRIES):
         if attempt == 0:
             idx = np.arange(m_pure + 1)
         else:
@@ -217,7 +220,7 @@ def find_nonstate_sphere_point(ctx: QuantumSimplexContext, seed=0,
         if min_eig < -MIN_WITNESS_NEGATIVITY:
             return s
     raise RuntimeError(
-        f"no non-state sphere point found for d={ctx.d} in {max_tries} tries")
+        f"no non-state sphere point for d={ctx.d} in {WITNESS_TRIES} tries")
 
 
 def trace_distance(rho_a: np.ndarray, rho_b: np.ndarray) -> float:

@@ -289,9 +289,13 @@ def test_malformed_dimension_is_bad_input(command, text, tmp_path, capsys):
              '{"d": 2, "rho": [[[1, 0], [0, 0]], [[0, 0], [0, 0]]], '
              '"bloch": [0, 0, 1]}',
              '{"d": 3, "bloch": [1' + '0' * 400 + ', 0, 0, 0, 0, 0, 0, 0]}',
-             '{"d": 3, "bloch": ' + NESTED + '}'],
+             '{"d": 3, "bloch": ' + NESTED + '}',
+             # numeric strings and bools are not JSON numbers
+             '{"d": 2, "bloch": ["0", "0", "0"]}',
+             '{"d": 2, "rho": [[[true, 0], [0, 0]], [[0, 0], [0, 0]]]}'],
     ids=["bloch-object", "probabilities-object", "rho-scalar", "rho-and-bloch",
-         "bloch-int-overflow", "bloch-nested-too-deeply"])
+         "bloch-int-overflow", "bloch-nested-too-deeply", "bloch-strings",
+         "rho-bool"])
 @pytest.mark.parametrize("command", STATE_COMMANDS)
 def test_malformed_payload_is_bad_input(command, text, tmp_path, capsys):
     state = tmp_path / "state.json"
@@ -327,9 +331,12 @@ def test_refused_state_file_builds_no_context(command, text, tmp_path,
 
 @pytest.mark.parametrize(
     "d, psi", [("3", '{"a": 1}'), ("null", None), ("3.7", None), ('"3"', None),
-               ("true", None), ("3", NESTED)],
+               ("true", None), ("3", NESTED),
+               # a valid fiducial, but for d = 2
+               ("2", json.dumps(fiducial_to_json(
+                   qubit_tetrahedron_fiducial())["psi"]))],
     ids=["psi-object", "d-null", "d-float", "d-string", "d-bool",
-         "psi-nested-too-deeply"])
+         "psi-nested-too-deeply", "other-dimension"])
 def test_malformed_fiducial_file_is_bad_input(d, psi, tmp_path, capsys,
                                               contexts):
     # a valid d = 3 psi unless the case replaces it
@@ -339,7 +346,7 @@ def test_malformed_fiducial_file_is_bad_input(d, psi, tmp_path, capsys,
     assert main(["verify", "--d", "3", "--samples", "10",
                  "--fiducial", str(fid)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error:") and "Traceback" not in err
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_state_json_roundtrip(tmp_path):

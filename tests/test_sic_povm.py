@@ -453,9 +453,14 @@ def test_fiducial_json_rejects_unnormalizing_entry(d, seed, data, value):
     ("d", 3.7, "float 3.7"), ("d", "3", "str '3'"), ("d", True, "bool"),
     ("d", None, "NoneType"), ("d", 1, "int 1"),
     ("psi", {"a": 1}, "not an array of numbers"),
-    ("psi", [[10 ** 400, 0]] * 3, "not an array of numbers")],
+    ("psi", [[10 ** 400, 0]] * 3, "not an array of numbers"),
+    # numeric strings and bools are not JSON numbers; the bool one is a
+    # unit vector, so only the number rule can refuse it
+    ("psi", [[str(x) for x in z] for z in _unit_vector_entry(3, 0)["psi"]],
+     "not an array of numbers"),
+    ("psi", [[True, 0], [0, 0], [0, 0]], "not an array of numbers")],
     ids=["d-float", "d-string", "d-bool", "d-null", "d-below-2",
-         "psi-object", "psi-int-overflow"])
+         "psi-object", "psi-int-overflow", "psi-strings", "psi-bool"])
 def test_fiducial_json_refuses_malformed_field(field, value, reason):
     # the state-file rule: "d" is an int >= 2 and not a bool
     obj = {**_unit_vector_entry(3, 0), field: value}
@@ -867,6 +872,8 @@ def _bad_entries():
     truncated["psi"] = truncated["psi"][:-1]
     unnormalized = _unit_vector_entry(3, 0)
     unnormalized["psi"][0] = [2.0, 0.0]
+    strings = _unit_vector_entry(3, 0)
+    strings["psi"] = [[str(x) for x in z] for z in strings["psi"]]
     return [
         ("3", [1, 2], "not a JSON object"),
         ("3", None, "not a JSON object"),
@@ -877,6 +884,7 @@ def _bad_entries():
         ("3", truncated, "(2, 2) for d=3"),
         ("3", unnormalized, "norm"),
         ("3", _unit_vector_entry(4, 0), "d=4 vector"),
+        ("3", strings, "not an array of numbers"),
     ]
 
 
@@ -885,7 +893,7 @@ def _bad_entries():
     ids=["entry-not-an-object", "entry-null", "key-not-a-dimension",
          "key-shadowing-another", "missing-field",
          "d-not-a-number", "truncated-psi", "unnormalized-psi",
-         "other-dimension"])
+         "other-dimension", "psi-strings"])
 def test_bad_catalog_entry_is_refused_alone(key, entry, reason, tmp_path,
                                             contexts, monkeypatch, caplog):
     path = tmp_path / "cat.json"

@@ -385,7 +385,7 @@ def test_non_finite_points_are_refused(d, data, bad, contexts):
 
 def test_no_nonstate_sphere_point_for_qubits(contexts):
     with pytest.raises(RuntimeError):
-        find_nonstate_sphere_point(contexts[2], seed=1, max_tries=50)
+        find_nonstate_sphere_point(contexts[2], seed=1)
 
 
 def test_trace_distance_basics():
