@@ -177,12 +177,9 @@ def qubit_tetrahedron_fiducial() -> Fiducial:
 # 17, 1980), which brings d = 3 to a median of 8 steps (5-16 over seeds
 # 0..299); near a quadratic zero the ratio falls under 0.1, so for d >= 4
 # the rule rarely fires.  A restart that stalls on a plateau of phi (a
-# saddle region) ends once phi has not halved over STALL_EVALUATIONS
-# evaluations, instead of spending up to MAX_POLISH_STEPS steps there.
-# max|w_D| is the orbit's sic_residual up to roundoff, so a restart that
-# stops at the floor has already converged.  The restarts run one at a
-# time: the first converged one ends the search, and only when none
-# converges does the smallest residual win, abandoned restarts included.
+# saddle region) ends early (STALL_EVALUATIONS) instead of spending up to
+# MAX_POLISH_STEPS steps there.  max|w_D| is the orbit's sic_residual up to
+# roundoff, so a restart that stops at the floor has already converged.
 # ---------------------------------------------------------------------------
 
 def _deviations(disp: np.ndarray, psi: np.ndarray, target: float):
@@ -195,49 +192,55 @@ def _deviations(disp: np.ndarray, psi: np.ndarray, target: float):
     return d_psi, c, np.abs(c) ** 2 - target
 
 
-def _adjoint_table(disp: np.ndarray) -> np.ndarray:
-    """The conjugate transposes D^dagger of an (n, d, d) table, stacked as
-    one (n*d, d) matrix for `_jacobian`."""
-    n, d, _ = disp.shape
-    return disp.conj().transpose(0, 2, 1).reshape(n * d, d)
+def _adjoint_rows(d: int) -> np.ndarray:
+    """Row of D_{-k,-l} = +-D_{k,l}^dagger for each row k*d + l - 1 of
+    `displacement_operators(d)[1:]`."""
+    a = np.arange(1, d * d)
+    return (-(a // d)) % d * d + (-a) % d - 1
 
 
-def _jacobian(disp_h, psi, d_psi, c):
+def _jacobian(d_psi, c, pair):
     """Jacobian 2 [Re h, Im h] of the deviations wrt (Re psi, Im psi), where
-    h_D = dw_D/dpsi*, from the D psi and c_D that `_deviations` returned and
-    the stacked D^dagger of `_adjoint_table`."""
-    ddag_psi = (disp_h @ psi).reshape(d_psi.shape)
-    c2 = 2.0 * c
-    h2 = c2.conj()[:, None] * d_psi + c2[:, None] * ddag_psi
+    h_D = dw_D/dpsi* = conj(c_D) D psi + c_D D^dagger psi, from the D psi
+    and c_D of `_deviations`.  D^dagger = s D' with D' = D_{-k,-l} in row
+    pair[D] and s = +-1, so c_D' = s conj(c_D) and h_D = g_D + g_D', where
+    g_D = conj(c_D) D psi: no D^dagger psi is formed."""
+    g2 = 2.0 * c.conj()[:, None] * d_psi
+    h2 = g2 + g2[pair]
     return np.concatenate((h2.real, h2.imag), axis=1)
 
 
-def _polish(disp, psi, target):
-    """Gauss-Newton on the deviation vector from the normalized start `psi`:
-    each step solves (J^T J + _RIDGE I) dx = -J^T w and takes the first of
-    30 halvings of dx that decreases phi, renormalized.  When that step
-    was full and cut max|w_D| by a ratio in (0.1, 0.5), and the step before
-    it did the same (linear convergence to a degenerate zero, as at d = 3),
+def _polish(psi):
+    """Gauss-Newton on the deviation vector from the normalized start `psi`,
+    over the d**2 - 1 nonzero displacements with target 1/(d+1): each step
+    solves (J^T J + _RIDGE I) dx = -J^T w and takes the first of 30
+    halvings of dx that decreases phi, renormalized.  When that step was
+    full and cut max|w_D| by a ratio in (0.1, 0.5), and the step before it
+    did the same (linear convergence to a degenerate zero, as at d = 3),
     the doubled step is evaluated too and kept if its phi is lower; the
     ratio of the point kept is the one the next step's test reads.  Ends
     once max|w_D| <= POLISH_FLOOR, after MAX_POLISH_STEPS steps, when no
     halving helps, when the solve fails, or when phi has not halved since
-    the latest accepted point at least STALL_EVALUATIONS evaluations back
-    (evaluations count the start, each line-search candidate and each
-    doubled step).  Each of those points is evaluated once, and J is
-    formed only at the points a step leaves, from the D psi and c_D their
-    evaluation carried.  Per step that is one (n*d, d) product for
-    D^dagger psi (the stacked D^dagger are built once per call), the 2d x 2d
-    normal equations and one solve; per evaluation, one (n*d, d) product
-    for D psi and the overlaps.  Returns (psi, steps taken, final
-    max|w_D|, why it ended), the last one of "floor", "stall",
-    "no_decrease", "solve_failed" or "step_cap"."""
-    psi = psi / np.linalg.norm(psi)
+    the latest accepted point at least STALL_EVALUATIONS evaluations back.
+    Each evaluated point (the start, each line-search candidate and each
+    doubled step) is evaluated once, and J is formed only at the points a
+    step leaves, from the D psi and c_D their evaluation carried: per step,
+    the 2d x 2d normal equations and one solve; per evaluation, one
+    (n*d, d) product for D psi.  Returns (psi, steps taken, final max|w_D|,
+    why it ended), the last one of "floor", "stall", "no_decrease",
+    "solve_failed" or "step_cap"."""
     d = psi.shape[0]
-    disp_h = _adjoint_table(disp)
+    disp = displacement_operators(d)[1:]
+    pair = _adjoint_rows(d)
     ridge = _RIDGE * np.eye(2 * d)
-    d_psi, c, w = _deviations(disp, psi, target)
-    phi = w @ w
+
+    def evaluate(x):
+        # x normalized, its (D psi, c, w) and its phi
+        x = x / np.linalg.norm(x)
+        evaluated = _deviations(disp, x, 1.0 / (d + 1.0))
+        return x, evaluated, evaluated[2] @ evaluated[2]
+
+    psi, (d_psi, c, w), phi = evaluate(psi)
     # evaluation count and phi at each accepted point, for the stall rule
     counts, phis = [1], [phi]
     last_linear = False
@@ -251,7 +254,7 @@ def _polish(disp, psi, target):
         if ref and phi > 0.5 * phis[ref - 1]:
             ended = "stall"
             break
-        jac = _jacobian(disp_h, psi, d_psi, c)
+        jac = _jacobian(d_psi, c, pair)
         try:
             dx = np.linalg.solve(jac.T @ jac + ridge, -jac.T @ w)
         except np.linalg.LinAlgError:
@@ -260,30 +263,21 @@ def _polish(disp, psi, target):
         step = dx[:d] + 1j * dx[d:]
         evals = counts[-1]
         for halvings in range(30):
-            cand = psi + step
-            cand /= np.linalg.norm(cand)
-            evaluated = _deviations(disp, cand, target)
+            cand, evaluated, cand_phi = evaluate(psi + step)
             evals += 1
-            cand_phi = evaluated[2] @ evaluated[2]
             if cand_phi < phi:
                 break
             step *= 0.5
         else:
             ended = "no_decrease"
             break
-        # a full step that cut max|w_D| by a ratio in (0.1, 0.5), twice
-        # running, is converging linearly: try the doubled step as well
         full_linear = (halvings == 0
                        and 0.1 * dev < np.abs(evaluated[2]).max() < 0.5 * dev)
         if full_linear and last_linear:
-            longer = psi + 2.0 * step
-            longer /= np.linalg.norm(longer)
-            longer_evaluated = _deviations(disp, longer, target)
+            longer = evaluate(psi + 2.0 * step)
             evals += 1
-            longer_phi = longer_evaluated[2] @ longer_evaluated[2]
-            if longer_phi < cand_phi:
-                cand, evaluated, cand_phi = longer, longer_evaluated, longer_phi
-                # the next step's test reads the ratio of the point kept
+            if longer[2] < cand_phi:
+                cand, evaluated, cand_phi = longer
                 full_linear = (0.1 * dev < np.abs(evaluated[2]).max()
                                < 0.5 * dev)
         last_linear = full_linear
@@ -314,14 +308,12 @@ def find_fiducial(d: int, seed: int = 0, restarts: int = 10) -> Fiducial:
     if restarts < 1:
         raise ValueError("need at least one restart")
     rng = np.random.default_rng(seed)
-    disp = displacement_operators(d)
-    target = 1.0 / (d + 1.0)
     config = {"restarts": restarts, "target_residual": DEFAULT_TARGET_RESIDUAL}
     fids = []
     for restart in range(restarts):
         start = rng.normal(size=d) + 1j * rng.normal(size=d)
         t0 = time.perf_counter()
-        psi, iterations, max_dev, ended = _polish(disp[1:], start, target)
+        psi, iterations, max_dev, ended = _polish(start)
         fid = Fiducial(psi=psi, source="search", seed=seed, config=config)
         fids.append(fid)
         log.debug("search restart d=%d restart=%d iterations=%d ended=%s "
@@ -379,13 +371,20 @@ def fiducial_to_json(fid: Fiducial) -> dict:
 
 
 def read_json(path: str):
-    """`path`'s JSON value; ValueError if it is not JSON or nests too deep."""
+    """`path`'s JSON value.  Every ValueError starts with `path`: a
+    JSONDecodeError, whose `doc` is the text read, if that is not JSON, and
+    a plain one if the file is not UTF-8 or nests too deep."""
     with open(path) as fh:
         try:
             return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise json.JSONDecodeError(f"{path}: {exc.msg}", exc.doc,
+                                       exc.pos) from None
         except RecursionError:
             # the decoder recurses once per nesting level
-            raise ValueError("JSON nested too deeply") from None
+            raise ValueError(f"{path}: JSON nested too deeply") from None
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
 
 def json_field(obj: dict, key: str, shape) -> tuple[int, np.ndarray]:
@@ -436,8 +435,8 @@ def load_catalog(path: str) -> dict:
     No entry is parsed here: `get_fiducial` parses only the one it looks
     up, and `record_fiducial` writes the others back unchanged.
 
-    Raises ValueError when `read_json` does, or when the file is JSON but
-    not an object of entries."""
+    Raises ValueError, starting with `path`, when `read_json` does, or when
+    the file is JSON but not an object of entries."""
     if not os.path.exists(path) or not os.path.getsize(path):
         return {}
     try:
@@ -447,8 +446,8 @@ def load_catalog(path: str) -> dict:
             raise
         return {}
     if not isinstance(raw, dict):
-        raise ValueError(f"catalog is a JSON {type(raw).__name__}, "
-                         "not an object")
+        raise ValueError(f"{path}: catalog is a JSON "
+                         f"{type(raw).__name__}, not an object")
     return raw
 
 
@@ -485,7 +484,7 @@ def record_fiducial(fid: Fiducial, path: str | None = None) -> None:
     try:
         catalog = load_catalog(path)
     except ValueError as exc:
-        log.warning("replacing fiducial catalog %s: %s", path, exc)
+        log.warning("replacing fiducial catalog %s", exc)
         catalog = {}
     catalog[str(fid.d)] = fiducial_to_json(fid)
     try:
@@ -511,7 +510,7 @@ def get_fiducial(d: int, seed: int = 0,
     try:
         catalog = load_catalog(path)
     except ValueError as exc:
-        log.warning("unreadable fiducial catalog %s: %s", path, exc)
+        log.warning("unreadable fiducial catalog %s", exc)
         catalog = {}
     if str(d) in catalog:
         try:

@@ -349,6 +349,26 @@ def test_malformed_fiducial_file_is_bad_input(d, psi, tmp_path, capsys,
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("text", [b"not json", b"\xff{}"],
+                         ids=["not-json", "not-utf8"])
+@pytest.mark.parametrize("bad", ["--in", "--fiducial"])
+def test_undecodable_file_is_named_in_the_error(bad, text, tmp_path, capsys):
+    state = _write_state(tmp_path / "state.json", 2, "bloch", [0.0] * 3)
+    fid = tmp_path / "fid.json"
+    fid.write_text(json.dumps(fiducial_to_json(qubit_tetrahedron_fiducial())))
+    broken = tmp_path / "bad.json"
+    broken.write_bytes(text)
+    files = {"--in": str(state), "--fiducial": str(fid)}
+    files[bad] = str(broken)
+    assert main(["convert", "--to", "point", "--in", files["--in"],
+                 "--fiducial", files["--fiducial"]]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    # the file that is not JSON, once, and not the other one
+    assert err.count(str(broken)) == 1
+    assert [p for p in files.values() if p in err] == [str(broken)]
+
+
 def test_state_json_roundtrip(tmp_path):
     rho = bloch.random_density_matrix(3, 1)
     path = _write_state(tmp_path / "rho.json", 3, "rho", rho)
