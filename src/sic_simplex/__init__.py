@@ -1,10 +1,12 @@
 """Qudit states as points of the probability simplex of a SIC-POVM.
 
-The toolkit builds su(d) bases and their structure constants, regular
-simplexes matched to probability distributions, Bloch-vector maps for
-density matrices, Weyl-Heisenberg SIC-POVMs from numerically found
-fiducials, and the combined machinery showing that simplex points of SIC
-probabilities coincide with Bloch vectors.
+The toolkit builds su(d) bases, with the star product of Bloch vectors
+formed from the basis matrices and the dense structure constants kept as
+references built only when read, regular simplexes matched to probability
+distributions, Bloch-vector maps for density matrices, Weyl-Heisenberg
+SIC-POVMs from numerically found fiducials, and the combined machinery
+showing that simplex points of SIC probabilities coincide with Bloch
+vectors.
 """
 
 from .su_basis import (SuBasis, StructureConstants, build_su_basis,

@@ -110,8 +110,8 @@ def is_pure(r: np.ndarray, sc: StructureConstants) -> bool:
     True iff |r|^2 = (d-1)/(d+1) and r * r = (d-2) sqrt(2/(d(d+1))) r, both
     within `PURITY_TOL`.  The norm is tested first, and a vector that fails
     it (NaN included) is refused without forming the star product.  For
-    d = 2 the star-product condition holds trivially (dsym vanishes and the
-    prefactor is zero).
+    d = 2 the star-product condition holds up to roundoff (dsym vanishes
+    and the prefactor is zero).
 
     Raises
     ------

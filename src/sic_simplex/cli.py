@@ -4,9 +4,10 @@ verification, representation conversion and tomography simulation.
 State files are JSON objects {"d": d, key: value} holding exactly one of the
 representations rho, bloch, probabilities and point; `_read_state` and
 `_state_json` are their only reader and writer, and `sic_povm.json_field`
-is the one gate for "d" and the value, as for --fiducial files.  `convert`
-and `tomography` read and check the whole file before building a context,
-so a refused file never starts a fiducial search or writes the catalog.
+is the one gate for "d" and the value, as for --fiducial files; an error
+about either file starts with its path.  `convert` and `tomography` read
+and check the whole file before building a context, so a refused file
+never starts a fiducial search or writes the catalog.
 
 Exit status: 0 when every check passed, 1 when a check failed or `find-sic`
 did not converge, 2 on bad input.  Output files are deterministic in the
@@ -75,6 +76,17 @@ def _write_csv(columns, rows, path: str | None) -> None:
             out.close()
 
 
+def _read_checked(path: str, check):
+    """`check` of `path`'s JSON value, every ValueError starting with `path`
+    once: `read_json`'s own errors already do, and the check's get it
+    here."""
+    obj = read_json(path)
+    try:
+        return check(obj)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def _read_state(path: str) -> tuple[int, str, np.ndarray]:
     """A state file's (d, key, value), checked in full before any context
     is built: a JSON object holding exactly one of `STATE_KEYS` (other keys
@@ -82,7 +94,11 @@ def _read_state(path: str) -> tuple[int, str, np.ndarray]:
     (d, d, 2) for rho, (d**2,) for probabilities and (d**2 - 1,) otherwise.
     A rho value is returned as a complex matrix.
     """
-    obj = read_json(path)
+    return _read_checked(path, _state_fields)
+
+
+def _state_fields(obj) -> tuple[int, str, np.ndarray]:
+    """The (d, key, value) of a decoded state file; see `_read_state`."""
     keys = [k for k in STATE_KEYS if k in obj] if isinstance(obj, dict) else []
     if len(keys) != 1:
         raise ValueError("input file must be a JSON object holding exactly "
@@ -106,7 +122,7 @@ def _state_json(d: int, key: str, value: np.ndarray) -> dict:
 
 def _context(d: int, args) -> state_simplex.QuantumSimplexContext:
     path = getattr(args, "fiducial", None)
-    fid = fiducial_from_json(read_json(path)) if path else None
+    fid = _read_checked(path, fiducial_from_json) if path else None
     return build_context(d, fiducial=fid, seed=getattr(args, "seed", 0))
 
 
@@ -282,8 +298,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    # OverflowError: a flag value out of range, such as a --shots that
-    # numpy's sampler cannot take
+    # OverflowError: a flag value beyond what numpy can take
     except (ValueError, OSError, KeyError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -73,7 +73,6 @@ def build_context(d: int, fiducial: Fiducial | None = None, seed: int = 0,
     basis = build_su_basis(d)
     if fiducial is None:
         fiducial = get_fiducial(d, seed=seed, catalog_path=catalog_path)
-    # before the structure constants: a wrong-d fiducial is refused cheaply
     sic = build_sic(fiducial, basis)
     sc = structure_constants(basis)
     frame = SimplexFrame(n=d * d - 1, vertices=(d + 1.0) * sic.bloch_dirs)
@@ -254,10 +253,11 @@ def simulate_tomography(rho: np.ndarray, ctx: QuantumSimplexContext,
 
     The empirical frequencies map to a simplex point, which is read back as
     a Bloch vector; the raw estimate is then projected onto the states by
-    eigenvalue clipping.  Deterministic for a given seed.
+    eigenvalue clipping.  Deterministic for a given seed.  `shots` must lie
+    in [1, 2**63 - 1], the range of numpy's multinomial sampler.
     """
-    if shots < 1:
-        raise ValueError("need at least one shot")
+    if not 1 <= shots <= np.iinfo(np.int64).max:
+        raise ValueError(f"shots must be in [1, 2**63 - 1], got {shots}")
     rng = np.random.default_rng(seed)
     p = state_to_probabilities(rho, ctx)
     # roundoff can leave tiny negatives; the sampler needs an exact simplex

@@ -3,10 +3,10 @@
 The basis consists of the generalized Gell-Mann matrices, normalized so that
 Tr(sigma_a sigma_b) = 2 delta_ab.  The totally antisymmetric and totally
 symmetric structure constants f_abc, d_abc are read off from the triple
-traces Tr(sigma_a sigma_b sigma_c) = 2 d_abc + 2i f_abc.  Only the nonzero
-d_abc are kept, the table the star product sums over: 2,610 of the 250,047
-at d = 8.  The dense f and d tables, 16 m**3 bytes with m = d**2 - 1, are
-built only when read.
+traces Tr(sigma_a sigma_b sigma_c) = 2 d_abc + 2i f_abc.  No table of them
+is kept: the star product, the one sum over d_abc the package forms, is a
+matrix identity on the basis itself.  The dense f and d tables, 16 m**3
+bytes with m = d**2 - 1, are references built only when read.
 """
 
 from dataclasses import dataclass, field
@@ -15,7 +15,7 @@ from functools import cache, cached_property
 import numpy as np
 
 # rows a of Tr(sigma_a sigma_b sigma_c) computed per matmul in
-# `_triple_traces`; bounds its complex temporaries to a few
+# `_dense_tables`; bounds its complex temporaries to a few
 # SC_ROW_BLOCK * m * d**2 entries
 SC_ROW_BLOCK = 8
 
@@ -30,10 +30,10 @@ class SuBasis:
     For d = 2 this reproduces the Pauli matrices in the order (x, y, z).
 
     Frozen, and it keeps a read-only copy of `matrices` (the caller's array
-    is left as it was), so the tables derived from it cannot go stale: its
-    `trace_columns` and `structure_constants` are built on first use and
-    cached on the basis for its lifetime, the structure constants taking
-    32 bytes per nonzero d_abc (84 kB at d = 8).  Compared by identity.
+    is left as it was), so what is derived from it cannot go stale: its
+    `trace_columns` table and `structure_constants` object are built on
+    first use and cached on the basis for its lifetime.  Compared by
+    identity.
     """
 
     d: int
@@ -53,33 +53,26 @@ class SuBasis:
 
     @cached_property
     def _structure_constants(self) -> "StructureConstants":
-        return StructureConstants(d=self.d, basis=self,
-                                  dsym_entries=_dsym_entries(self))
+        return StructureConstants(d=self.d, basis=self)
 
 
 @dataclass(frozen=True, eq=False)
 class StructureConstants:
-    """The structure constants of a basis, held as the nonzero dsym_abc.
+    """The structure constants of a basis, defined by
+    Tr(sigma_a sigma_b sigma_c) = 2 dsym_abc + 2i f_abc.
 
-    Defined by Tr(sigma_a sigma_b sigma_c) = 2 dsym_abc + 2i f_abc.
-    `dsym_entries` is the table `star_product` sums over: (a, b, c,
-    dsym_abc) for every nonzero dsym_abc, in the C order that
-    `np.nonzero(dsym)` lists them, as four read-only arrays.  In the
-    Gell-Mann basis it takes 32 bytes per entry: 2,610 entries (84 kB) at
-    d = 8, 24,485 (0.78 MB) at d = 16.  It is built with O(d**8) flops of
-    BLAS matmuls, one block of rows at a time, so no O(m**3) array exists
-    at any point, m = d**2 - 1.  Built once per basis, so once per d for
-    the Gell-Mann bases of `build_su_basis`.
+    Holds the basis and no table: `star_product` forms its sums from the
+    basis matrices, so making this object costs nothing.
 
-    `f` and `dsym` are the dense (m, m, m) arrays, read-only references
-    that nothing in the package reads: the first read of either runs the
-    same kernel again and caches both, 16 m**3 bytes together (4.0 MB at
+    `f` and `dsym` are the dense (m, m, m) arrays, m = d**2 - 1, read-only
+    references that nothing in the package reads: the first read of either
+    runs the triple-trace kernel, O(d**8) flops of BLAS matmuls one block
+    of rows at a time, and caches both, 16 m**3 bytes together (4.0 MB at
     d = 8, 265 MB at d = 16).  Frozen, so neither can go stale.
     """
 
     d: int
     basis: SuBasis = field(repr=False)
-    dsym_entries: tuple = field(repr=False)  # (a, b, c, dsym_abc) arrays
 
     @cached_property
     def _dense(self) -> tuple:
@@ -143,68 +136,38 @@ def trace_columns(basis: SuBasis) -> np.ndarray:
 
 def structure_constants(basis: SuBasis) -> StructureConstants:
     """f_abc = Im Tr(sigma_a sigma_b sigma_c) / 2 and the symmetric
-    counterpart dsym_abc = Re Tr(sigma_a sigma_b sigma_c) / 2, held as the
-    nonzero dsym_abc (see `StructureConstants`).
+    counterpart dsym_abc = Re Tr(sigma_a sigma_b sigma_c) / 2, as a
+    `StructureConstants` whose dense tables are built only when read.
 
-    Computed on the first call for a basis and cached on it: every later
-    call returns the same read-only object.
+    Made on the first call for a basis, with no kernel run, and cached on
+    it: every later call returns the same read-only object.
     """
     return basis._structure_constants
 
 
-def _triple_traces(basis: SuBasis, emit) -> None:
-    """Call `emit(a0, T)` once per block of SC_ROW_BLOCK rows a, in order,
-    with T[i, b, c] = Tr(sigma_{a0+i} sigma_b sigma_c) complex.
+def _dense_tables(basis: SuBasis) -> tuple:
+    """The dense (f, dsym), both read-only, from the complex triple traces
+    Tr(sigma_a sigma_b sigma_c), one block of SC_ROW_BLOCK rows a at a time.
 
     Each block is two matmuls: one forms the products sigma_a sigma_b of
     the block against all b, the other contracts their flattened form with
-    `trace_columns`.  No block is kept once `emit` returns, so only one
-    block of complex traces exists at a time.
+    `trace_columns`.  Only one block of complex traces exists at a time.
     """
     S = basis.matrices
     m, d = S.shape[0], basis.d
     columns = trace_columns(basis)
     # (d, m*d): row j holds (sigma_b)_jk for every (b, k)
     right = S.transpose(1, 0, 2).reshape(d, m * d)
+    f = np.empty((m, m, m))
+    dsym = np.empty((m, m, m))
     for a0 in range(0, m, SC_ROW_BLOCK):
         rows = S[a0:a0 + SC_ROW_BLOCK]
         B = len(rows)
-        emit(a0, ((rows.reshape(B * d, d) @ right)
+        triple = ((rows.reshape(B * d, d) @ right)
                   .reshape(B, d, m, d).transpose(0, 2, 1, 3)
-                  .reshape(-1, d * d) @ columns).reshape(B, m, m))
-
-
-def _dsym_entries(basis: SuBasis) -> tuple:
-    """(a, b, c, dsym_abc) over the nonzero dsym_abc, in the C order of
-    `np.nonzero(dsym)`: each block's nonzero entries, rows offset, block
-    after block.  Four read-only arrays."""
-    m = basis.matrices.shape[0]
-    parts = []
-
-    def keep_nonzero(a0, triple):
-        block = triple.real / 2.0
-        flat = np.flatnonzero(block)
-        parts.append((*np.unravel_index(flat + a0 * m * m, (m, m, m)),
-                      block.reshape(-1)[flat]))
-
-    _triple_traces(basis, keep_nonzero)
-    entries = tuple(np.concatenate(column) for column in zip(*parts))
-    for column in entries:
-        column.setflags(write=False)
-    return entries
-
-
-def _dense_tables(basis: SuBasis) -> tuple:
-    """The dense (f, dsym), both read-only."""
-    m = basis.matrices.shape[0]
-    f = np.empty((m, m, m))
-    dsym = np.empty((m, m, m))
-
-    def store(a0, triple):
-        f[a0:a0 + len(triple)] = triple.imag / 2.0
-        dsym[a0:a0 + len(triple)] = triple.real / 2.0
-
-    _triple_traces(basis, store)
+                  .reshape(-1, d * d) @ columns).reshape(B, m, m)
+        f[a0:a0 + B] = triple.imag / 2.0
+        dsym[a0:a0 + B] = triple.real / 2.0
     f.setflags(write=False)
     dsym.setflags(write=False)
     return f, dsym
@@ -214,20 +177,22 @@ def star_product(r1: np.ndarray, r2: np.ndarray,
                  sc: StructureConstants) -> np.ndarray:
     """Symmetric star product (r1 * r2)_c = dsym_abc r1_a r2_b.
 
-    Sums over `sc.dsym_entries`, the nonzero dsym_abc only, so the cost
-    grows with their number: 2,610 of the 250,047 at d = 8 in the
-    Gell-Mann basis, and it never reads the dense `sc.dsym`.  In a basis
-    where most dsym_abc are nonzero, for example a rotated one, the table
-    holds all m**3 of them at 32 bytes each: the result is the same, but
-    at d = 8 a call then takes milliseconds, where a dense contraction
-    takes about 0.1 ms.  Identically zero for d = 2, where dsym vanishes.
+    By {sigma_a, sigma_b} = (4/d) delta_ab I + 2 dsym_abc sigma_c this is
+    (r1 * r2)_c = Re Tr(A B sigma_c) / 2 with A = r1 . sigma and
+    B = r2 . sigma, each one product with the flattened basis as in
+    `from_bloch`, and the traces one product with `trace_columns`.  So it
+    costs O(d**4) flops in any basis and reads no dsym table; B is A when
+    r2 is r1.  For d = 2, where dsym vanishes, it is zero up to roundoff.
     """
     r1 = np.asarray(r1, dtype=float)
     r2 = np.asarray(r2, dtype=float)
-    m = sc.d * sc.d - 1
+    d = sc.d
+    m = d * d - 1
     if r1.shape != (m,) or r2.shape != (m,):
         raise ValueError(
             f"star_product needs two vectors of length {m}, "
             f"got {r1.shape} and {r2.shape}")
-    a, b, c, v = sc.dsym_entries
-    return np.bincount(c, weights=v * r1[a] * r2[b], minlength=m)
+    flat = sc.basis.matrices.reshape(m, d * d)
+    A = (r1 @ flat).reshape(d, d)
+    B = A if r2 is r1 else (r2 @ flat).reshape(d, d)
+    return 0.5 * ((A @ B).reshape(-1) @ trace_columns(sc.basis)).real

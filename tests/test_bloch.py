@@ -217,6 +217,15 @@ def test_purity_sweep(d):
         assert not is_pure(r, sc)
 
 
+def test_is_pure_at_d16_builds_no_dense_table():
+    # a fresh basis: its dense f and dsym would take 265 MB
+    basis = build_su_basis.__wrapped__(16)
+    sc = structure_constants(basis)
+    assert is_pure(to_bloch(random_pure_state(16, 0), basis), sc)
+    assert not is_pure(to_bloch(random_density_matrix(16, 0), basis), sc)
+    assert "_dense" not in vars(sc)
+
+
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
 def test_purity_test_equivalence(d):
     # agreement with the direct matrix test |rho^2 - rho| < 1e-9

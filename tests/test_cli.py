@@ -248,6 +248,7 @@ def test_tomography_shots_out_of_range_is_bad_input(tmp_path, capsys):
                  "--shots", "9223372036854775808"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
+    assert "shots" in err and "9223372036854775808" in err
 
 
 def test_tomography_rejects_probability_input(tmp_path):
@@ -349,10 +350,7 @@ def test_malformed_fiducial_file_is_bad_input(d, psi, tmp_path, capsys,
     assert err.startswith("error:") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("text", [b"not json", b"\xff{}"],
-                         ids=["not-json", "not-utf8"])
-@pytest.mark.parametrize("bad", ["--in", "--fiducial"])
-def test_undecodable_file_is_named_in_the_error(bad, text, tmp_path, capsys):
+def _assert_only_the_bad_file_is_named(bad, text, tmp_path, capsys):
     state = _write_state(tmp_path / "state.json", 2, "bloch", [0.0] * 3)
     fid = tmp_path / "fid.json"
     fid.write_text(json.dumps(fiducial_to_json(qubit_tetrahedron_fiducial())))
@@ -364,9 +362,24 @@ def test_undecodable_file_is_named_in_the_error(bad, text, tmp_path, capsys):
                  "--fiducial", files["--fiducial"]]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
-    # the file that is not JSON, once, and not the other one
+    # the bad file, once, and not the other one
     assert err.count(str(broken)) == 1
     assert [p for p in files.values() if p in err] == [str(broken)]
+
+
+@pytest.mark.parametrize("text", [b"not json", b"\xff{}"],
+                         ids=["not-json", "not-utf8"])
+@pytest.mark.parametrize("bad", ["--in", "--fiducial"])
+def test_undecodable_file_is_named_in_the_error(bad, text, tmp_path, capsys):
+    _assert_only_the_bad_file_is_named(bad, text, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("bad", ["--in", "--fiducial"])
+def test_refused_file_is_named_in_the_error(bad, tmp_path, capsys):
+    # JSON that both a state file and a fiducial file refuse on "d"
+    _assert_only_the_bad_file_is_named(
+        bad, b'{"d": null, "bloch": [0, 0, 0], "psi": [[1, 0], [0, 0]]}',
+        tmp_path, capsys)
 
 
 def test_state_json_roundtrip(tmp_path):

@@ -9,7 +9,7 @@ import pytest
 from sic_simplex import state_simplex, su_basis
 from sic_simplex.state_simplex import build_context
 from sic_simplex.su_basis import (SuBasis, build_su_basis, structure_constants,
-                                  star_product, trace_columns)
+                                  star_product)
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]])
@@ -100,22 +100,22 @@ def test_structure_constants_are_built_once_per_basis():
 
 def _count_kernel_runs(monkeypatch):
     calls = []
-    kernel = su_basis._triple_traces
+    kernel = su_basis._dense_tables
 
-    def counted(basis, emit):
+    def counted(basis):
         calls.append(basis.d)
-        return kernel(basis, emit)
+        return kernel(basis)
 
-    monkeypatch.setattr(su_basis, "_triple_traces", counted)
+    monkeypatch.setattr(su_basis, "_dense_tables", counted)
     return calls
 
 
-def test_two_contexts_run_the_triple_trace_kernel_once(monkeypatch):
+def test_two_contexts_run_no_triple_trace_kernel(monkeypatch):
     calls = _count_kernel_runs(monkeypatch)
     # a fresh basis for d = 2, whose context needs no fiducial search
     build_su_basis.cache_clear()
     a, b = build_context(2), build_context(2)
-    assert calls == [2]
+    assert calls == []
     assert a.basis is b.basis and a.sc is b.sc
 
 
@@ -129,42 +129,24 @@ def test_context_leaves_the_dense_tables_unbuilt(monkeypatch, tmp_path):
                         / "fiducials.json").read_text())
     sc = build_context(3, catalog_path=str(catalog)).sc
     assert "_dense" not in vars(sc)
-    assert calls == [3]
-    # one more run of the kernel builds both references, once
+    assert calls == []
+    # the first read of either reference runs the kernel once for both
     assert sc.f is sc.f and sc.dsym is sc.dsym
-    assert calls == [3, 3]
+    assert calls == [3]
 
 
-def _assert_entries_are_the_nonzero_dense_entries(sc):
-    a, b, c = np.nonzero(sc.dsym)
-    entries = sc.dsym_entries
-    assert len(entries) == 4
-    for got, want in zip(entries, (a, b, c, sc.dsym[a, b, c])):
-        assert np.array_equal(got, want)
-        assert got.dtype == want.dtype
-        assert not got.flags.writeable
-
-
-@pytest.mark.parametrize("d, order", [
-    *((d, "gell-mann") for d in range(2, 9)),
-    *((d, order) for d in (2, 3, 5, 8) for order in ("shuffled", "rotated"))])
-def test_entries_are_the_nonzero_dense_entries_in_c_order(d, order):
-    basis = _other_basis(d, order, np.random.default_rng(50 + d))
-    _assert_entries_are_the_nonzero_dense_entries(structure_constants(basis))
-
-
-def test_building_the_entries_allocates_no_dense_table():
+def test_structure_constants_run_no_kernel_and_allocate_nothing(monkeypatch):
+    calls = _count_kernel_runs(monkeypatch)
     # a fresh d = 10 basis: its dense f and dsym would take 15.5 MB
     basis = build_su_basis.__wrapped__(10)
-    trace_columns(basis)  # the basis's own table, built outside the measure
     tracemalloc.start()
     try:
         sc = structure_constants(basis)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 4e6
-    assert len(sc.dsym_entries[0]) == 5464
+    assert peak < 1e5
+    assert calls == []
     assert "_dense" not in vars(sc)
 
 
@@ -172,8 +154,6 @@ def test_building_the_entries_allocates_no_dense_table():
 def test_cached_structure_constants_equal_a_fresh_table(d):
     sc = structure_constants(build_su_basis(d))
     fresh = build_su_basis.__wrapped__(d)
-    for got, want in zip(sc.dsym_entries, su_basis._dsym_entries(fresh)):
-        assert np.array_equal(got, want)
     f, dsym = su_basis._dense_tables(fresh)
     assert np.array_equal(sc.f, f)
     assert np.array_equal(sc.dsym, dsym)
@@ -307,7 +287,7 @@ def _other_basis(d, order, rng):
         mats = mats[rng.permutation(m)]
     else:
         # an orthogonal mix keeps Tr(sigma_a sigma_b) = 2 delta_ab but makes
-        # dsym dense; the sparse sum must still be exact
+        # dsym dense
         mats = np.einsum('ab,bij->aij', np.linalg.qr(rng.normal(size=(m, m)))[0],
                          mats)
     return SuBasis(d=d, matrices=mats)
@@ -321,7 +301,7 @@ def _assert_star_product_matches_dense(sc, rng):
         assert np.max(np.abs(star_product(r1, r2, sc) - expected)) < 1e-13
 
 
-@pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 7, 8])
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 7, 8, 9, 10])
 def test_star_product_matches_dense_contraction(d):
     sc = structure_constants(build_su_basis(d))
     _assert_star_product_matches_dense(sc, np.random.default_rng(40 + d))
