@@ -52,6 +52,15 @@ def _dim(value: str) -> int:
     return d
 
 
+def _tol(value: str) -> float:
+    # inf would pass every deviation, and nan or <= 0 fail every one
+    tol = float(value)
+    if not (math.isfinite(tol) and tol > 0):
+        raise argparse.ArgumentTypeError(
+            f"tolerance must be a finite number > 0, got {value}")
+    return tol
+
+
 def _write_json(obj, path: str | None) -> None:
     # allow_nan=False refuses NaN/Inf before any file is opened
     text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
@@ -121,9 +130,9 @@ def _state_json(d: int, key: str, value: np.ndarray) -> dict:
 
 
 def _context(d: int, args) -> state_simplex.QuantumSimplexContext:
-    path = getattr(args, "fiducial", None)
-    fid = _read_checked(path, fiducial_from_json) if path else None
-    return build_context(d, fiducial=fid, seed=getattr(args, "seed", 0))
+    fid = (_read_checked(args.fiducial, fiducial_from_json)
+           if args.fiducial else None)
+    return build_context(d, fiducial=fid, seed=args.seed)
 
 
 def _cmd_geometry(args) -> int:
@@ -140,7 +149,9 @@ def _cmd_find_sic(args) -> int:
     fid = find_fiducial(args.d, seed=args.seed, restarts=args.restarts)
     _write_json(fiducial_to_json(fid), args.out)
     print(f"d={args.d} residual={fid.residual:.6e} "
-          f"{'converged' if fid.converged else 'NOT CONVERGED'}")
+          f"{'converged' if fid.converged else 'NOT CONVERGED'}",
+          # without --out, stdout holds the file alone
+          file=sys.stdout if args.out else sys.stderr)
     record_fiducial(fid)
     return 0 if fid.converged else 1
 
@@ -226,7 +237,8 @@ def _cmd_tomography(args) -> int:
     row = {"shots": result.shots, "trace_distance": result.trace_distance,
            "seed": args.seed}
     _write_csv(TOMOGRAPHY_CSV_COLUMNS, [row], args.out)
-    print(f"shots={args.shots} trace_distance={result.trace_distance:.6e}")
+    print(f"shots={args.shots} trace_distance={result.trace_distance:.6e}",
+          file=sys.stdout if args.out else sys.stderr)
     return 0
 
 
@@ -264,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     dims.add_argument("--all", action="store_true", help="sweep d = 2..5")
     p.add_argument("--samples", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--tol", type=_tol, default=1e-10)
     p.add_argument("--fiducial", default=None,
                    help="fiducial catalog entry to use instead of the "
                         "builtin/catalog one")

@@ -27,8 +27,9 @@ PURE_STATE = "pure_state"
 
 # bytes of the (N, d, d) complex state stack of one batched call in the
 # sampling sweeps; no array of a block is larger.  Small blocks keep the
-# sweeps' memory flat in the sample count and let the allocator reuse heap
-# memory from block to block instead of mapping fresh pages for each
+# sweeps' memory flat in the sample count; they do not keep the pages
+# mapped, since a warm verify op still takes a few hundred minor faults
+# at d >= 4 (see the FOUND line on faults in CHANGES.md)
 SAMPLE_BLOCK_BYTES = 128 * 1024
 # smallest eigenvalue below -this makes a sphere point a non-state witness
 MIN_WITNESS_NEGATIVITY = 1e-6

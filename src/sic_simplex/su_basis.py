@@ -14,11 +14,6 @@ from functools import cache, cached_property
 
 import numpy as np
 
-# rows a of Tr(sigma_a sigma_b sigma_c) computed per matmul in
-# `_dense_tables`; bounds its complex temporaries to a few
-# SC_ROW_BLOCK * m * d**2 entries
-SC_ROW_BLOCK = 8
-
 
 @dataclass(frozen=True, eq=False)
 class SuBasis:
@@ -66,9 +61,9 @@ class StructureConstants:
 
     `f` and `dsym` are the dense (m, m, m) arrays, m = d**2 - 1, read-only
     references that nothing in the package reads: the first read of either
-    runs the triple-trace kernel, O(d**8) flops of BLAS matmuls one block
-    of rows at a time, and caches both, 16 m**3 bytes together (4.0 MB at
-    d = 8, 265 MB at d = 16).  Frozen, so neither can go stale.
+    runs the triple-trace kernel, O(d**8) flops in two BLAS matmuls that
+    peak at about twice the tables, and caches both, 16 m**3 bytes together
+    (4.0 MB at d = 8, 265 MB at d = 16).  Frozen, so neither can go stale.
     """
 
     d: int
@@ -147,27 +142,17 @@ def structure_constants(basis: SuBasis) -> StructureConstants:
 
 def _dense_tables(basis: SuBasis) -> tuple:
     """The dense (f, dsym), both read-only, from the complex triple traces
-    Tr(sigma_a sigma_b sigma_c), one block of SC_ROW_BLOCK rows a at a time.
-
-    Each block is two matmuls: one forms the products sigma_a sigma_b of
-    the block against all b, the other contracts their flattened form with
-    `trace_columns`.  Only one block of complex traces exists at a time.
-    """
+    Tr(sigma_a sigma_b sigma_c): one matmul forms every sigma_a sigma_b as
+    an (m**2, d**2) complex array, transient and 16 m**2 d**2 bytes, about
+    the size of the two tables, and one more contracts it with
+    `trace_columns`."""
     S = basis.matrices
     m, d = S.shape[0], basis.d
-    columns = trace_columns(basis)
-    # (d, m*d): row j holds (sigma_b)_jk for every (b, k)
-    right = S.transpose(1, 0, 2).reshape(d, m * d)
-    f = np.empty((m, m, m))
-    dsym = np.empty((m, m, m))
-    for a0 in range(0, m, SC_ROW_BLOCK):
-        rows = S[a0:a0 + SC_ROW_BLOCK]
-        B = len(rows)
-        triple = ((rows.reshape(B * d, d) @ right)
-                  .reshape(B, d, m, d).transpose(0, 2, 1, 3)
-                  .reshape(-1, d * d) @ columns).reshape(B, m, m)
-        f[a0:a0 + B] = triple.imag / 2.0
-        dsym[a0:a0 + B] = triple.real / 2.0
+    triple = ((S.reshape(m * d, d) @ S.transpose(1, 0, 2).reshape(d, m * d))
+              .reshape(m, d, m, d).transpose(0, 2, 1, 3).reshape(-1, d * d)
+              @ trace_columns(basis)).reshape(m, m, m)
+    f = triple.imag / 2.0
+    dsym = triple.real / 2.0
     f.setflags(write=False)
     dsym.setflags(write=False)
     return f, dsym

@@ -1,4 +1,6 @@
+import csv
 import inspect
+import io
 import json
 import subprocess
 import sys
@@ -101,6 +103,20 @@ def test_find_sic_d3(tmp_path):
     assert _read_json(out)["residual"] < 1e-10
 
 
+def test_find_sic_without_out_writes_only_the_file_to_stdout(tmp_path,
+                                                            capsys):
+    # the summary goes to stderr, so stdout is a --fiducial file as it is
+    assert main(["find-sic", "--d", "3", "--seed", "1"]) == 0
+    out, err = capsys.readouterr()
+    assert json.loads(out)["converged"] is True
+    assert err.startswith("d=3 residual=") and "converged" in err
+    fid = tmp_path / "f.json"
+    fid.write_text(out)
+    assert main(["verify", "--d", "3", "--samples", "10",
+                 "--fiducial", str(fid)]) == 0
+    assert "[ok]" in capsys.readouterr().out
+
+
 def test_verify_qubit_passes(tmp_path):
     out = tmp_path / "verify.json"
     rc = main(["verify", "--d", "2", "--samples", "200", "--seed", "7",
@@ -140,6 +156,21 @@ def test_verify_refuses_non_finite_output(fmt, tmp_path, monkeypatch):
     assert main(["verify", "--d", "2", "--samples", "10", "--format", fmt,
                  "--out", str(out)]) == 2
     assert not out.exists()
+
+
+@pytest.mark.parametrize("tol", ["inf", "nan", "0", "-1"])
+def test_verify_refuses_a_tolerance_it_cannot_judge(tol, tmp_path, capsys):
+    # inf would pass any deviation, and nan, 0 or -1 would fail with no
+    # check failed: each is bad input, named in one error line
+    out = tmp_path / "verify.json"
+    assert main(["verify", "--d", "2", "--samples", "10", "--tol", tol,
+                 "--out", str(out)]) == 2
+    assert not out.exists()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    errors = [line for line in captured.err.splitlines() if "error:" in line]
+    assert len(errors) == 1
+    assert "--tol" in errors[0] and errors[0].endswith(f"got {tol}")
 
 
 def test_verify_needs_dimension(tmp_path):
@@ -238,6 +269,19 @@ def test_tomography_csv(tmp_path, contexts):
     fields = row.split(",")
     assert fields[0] == "5000" and fields[2] == "3"
     assert 0.0 <= float(fields[1]) < 0.2
+
+
+def test_tomography_without_out_writes_only_the_csv_to_stdout(tmp_path,
+                                                              capsys):
+    state = _write_state(tmp_path / "state.json", 2, "rho",
+                         bloch.random_density_matrix(2, 11))
+    assert main(["tomography", "--in", str(state), "--shots", "1000",
+                 "--seed", "3"]) == 0
+    out, err = capsys.readouterr()
+    header, *rows = csv.reader(io.StringIO(out))
+    assert header == cli.TOMOGRAPHY_CSV_COLUMNS
+    assert len(rows) == 1 and rows[0][0] == "1000" and rows[0][2] == "3"
+    assert err.startswith("shots=1000 trace_distance=")
 
 
 def test_tomography_shots_out_of_range_is_bad_input(tmp_path, capsys):
