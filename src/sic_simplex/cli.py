@@ -45,16 +45,27 @@ TOMOGRAPHY_CSV_COLUMNS = ["shots", "trace_distance", "seed"]
 STATE_KEYS = ("rho", "bloch", "probabilities", "point")
 
 
-def _dim(value: str) -> int:
-    d = int(value)
-    if d < 2:
-        raise argparse.ArgumentTypeError(f"dimension must be >= 2, got {d}")
-    return d
+def _at_least(least: int):
+    """argparse type of an integer flag >= `least`.  Its error names the
+    rule and the value, and argparse prefixes the flag."""
+    def parse(value: str) -> int:
+        try:
+            n = int(value)
+        except ValueError:
+            n = None
+        if n is None or n < least:
+            raise argparse.ArgumentTypeError(
+                f"must be an integer >= {least}, got {value}")
+        return n
+    return parse
 
 
 def _tol(value: str) -> float:
     # inf would pass every deviation, and nan or <= 0 fail every one
-    tol = float(value)
+    try:
+        tol = float(value)
+    except ValueError:
+        tol = math.nan
     if not (math.isfinite(tol) and tol > 0):
         raise argparse.ArgumentTypeError(
             f"tolerance must be a finite number > 0, got {value}")
@@ -252,15 +263,15 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("geometry", help="radii and facet data for dimension d")
-    p.add_argument("--d", type=_dim, required=True)
+    p.add_argument("--d", type=_at_least(2), required=True)
     p.add_argument("--out", default=None)
     p.add_argument("--format", choices=["json", "csv"], default="json")
     p.set_defaults(func=_cmd_geometry)
 
     p = sub.add_parser("find-sic", help="search for a SIC fiducial")
-    p.add_argument("--d", type=_dim, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--restarts", type=int, metavar="N",
+    p.add_argument("--d", type=_at_least(2), required=True)
+    p.add_argument("--seed", type=_at_least(0), default=0)
+    p.add_argument("--restarts", type=_at_least(1), metavar="N",
                    default=inspect.signature(find_fiducial)
                    .parameters["restarts"].default,
                    help="run at most N restarts; the first converged one "
@@ -272,10 +283,10 @@ def build_parser() -> argparse.ArgumentParser:
                                       "and pure-state laws numerically")
     # exactly one of them, so no dimension given is silently dropped
     dims = p.add_mutually_exclusive_group(required=True)
-    dims.add_argument("--d", type=_dim)
+    dims.add_argument("--d", type=_at_least(2))
     dims.add_argument("--all", action="store_true", help="sweep d = 2..5")
-    p.add_argument("--samples", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--samples", type=_at_least(1), default=1000)
+    p.add_argument("--seed", type=_at_least(0), default=0)
     p.add_argument("--tol", type=_tol, default=1e-10)
     p.add_argument("--fiducial", default=None,
                    help="fiducial catalog entry to use instead of the "
@@ -288,14 +299,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--to", choices=STATE_KEYS, required=True)
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", default=None)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_at_least(0), default=0)
     p.add_argument("--fiducial", default=None)
     p.set_defaults(func=_cmd_convert)
 
     p = sub.add_parser("tomography", help="simulate SIC tomography of a state")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--shots", type=int, default=10000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_at_least(0), default=0)
     p.add_argument("--fiducial", default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_tomography)
@@ -309,7 +320,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        # every output passes a finiteness gate first, so numpy's warnings
+        # on the way there would only come before its error line
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return args.func(args)
     # OverflowError: a flag value beyond what numpy can take
     except (ValueError, OSError, KeyError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)

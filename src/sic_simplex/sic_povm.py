@@ -180,6 +180,7 @@ def qubit_tetrahedron_fiducial() -> Fiducial:
 # saddle region) ends early (STALL_EVALUATIONS) instead of spending up to
 # MAX_POLISH_STEPS steps there.  max|w_D| is the orbit's sic_residual up to
 # roundoff, so a restart that stops at the floor has already converged.
+# J is h viewed as real, (Re, Im) interleaved; the step is dx as complex.
 # ---------------------------------------------------------------------------
 
 def _deviations(disp: np.ndarray, psi: np.ndarray, target: float):
@@ -192,61 +193,63 @@ def _deviations(disp: np.ndarray, psi: np.ndarray, target: float):
     return d_psi, c, np.abs(c) ** 2 - target
 
 
+@functools.cache
 def _adjoint_rows(d: int) -> np.ndarray:
     """Row of D_{-k,-l} = +-D_{k,l}^dagger for each row k*d + l - 1 of
-    `displacement_operators(d)[1:]`."""
+    `displacement_operators(d)[1:]`; built once per d, so read-only."""
     a = np.arange(1, d * d)
-    return (-(a // d)) % d * d + (-a) % d - 1
+    pair = (-(a // d)) % d * d + (-a) % d - 1
+    pair.flags.writeable = False
+    return pair
 
 
 def _jacobian(d_psi, c, pair):
-    """Jacobian 2 [Re h, Im h] of the deviations wrt (Re psi, Im psi), where
-    h_D = dw_D/dpsi* = conj(c_D) D psi + c_D D^dagger psi, from the D psi
-    and c_D of `_deviations`.  D^dagger = s D' with D' = D_{-k,-l} in row
-    pair[D] and s = +-1, so c_D' = s conj(c_D) and h_D = g_D + g_D', where
-    g_D = conj(c_D) D psi: no D^dagger psi is formed."""
-    g2 = 2.0 * c.conj()[:, None] * d_psi
-    h2 = g2 + g2[pair]
-    return np.concatenate((h2.real, h2.imag), axis=1)
+    """Jacobian of the deviations wrt (Re psi_j, Im psi_j), interleaved: the
+    real view of 2h, h_D = dw_D/dpsi* = conj(c_D) D psi + c_D D^dagger psi,
+    from the D psi and c_D of `_deviations`.  D^dagger = s D' with D' =
+    D_{-k,-l} in row pair[D] and s = +-1, so c_D' = s conj(c_D) and h_D =
+    g_D + g_D', g_D = conj(c_D) D psi: no D^dagger psi is formed."""
+    g = d_psi * (2.0 * c.conj())[:, None]
+    g += g.take(pair, axis=0)
+    return g.view(float)
 
 
 def _polish(psi):
     """Gauss-Newton on the deviation vector from the normalized start `psi`,
     over the d**2 - 1 nonzero displacements with target 1/(d+1): each step
-    solves (J^T J + _RIDGE I) dx = -J^T w and takes the first of 30
-    halvings of dx that decreases phi, renormalized.  When that step was
-    full and cut max|w_D| by a ratio in (0.1, 0.5), and the step before it
-    did the same (linear convergence to a degenerate zero, as at d = 3),
-    the doubled step is evaluated too and kept if its phi is lower; the
-    ratio of the point kept is the one the next step's test reads.  Ends
-    once max|w_D| <= POLISH_FLOOR, after MAX_POLISH_STEPS steps, when no
-    halving helps, when the solve fails, or when phi has not halved since
-    the latest accepted point at least STALL_EVALUATIONS evaluations back.
-    Each evaluated point (the start, each line-search candidate and each
-    doubled step) is evaluated once, and J is formed only at the points a
-    step leaves, from the D psi and c_D their evaluation carried: per step,
-    the 2d x 2d normal equations and one solve; per evaluation, one
-    (n*d, d) product for D psi.  Returns (psi, steps taken, final max|w_D|,
-    why it ended), the last one of "floor", "stall", "no_decrease",
-    "solve_failed" or "step_cap"."""
+    solves (J^T J + _RIDGE I) dx = -J^T w, views dx as the complex step
+    and takes the first of 30 halvings of it that decreases phi,
+    renormalized.  When that step was full and cut max|w_D| by a ratio in
+    (0.1, 0.5), and the step before it did the same (linear convergence to
+    a degenerate zero, as at d = 3), the doubled step is evaluated too and
+    kept if its phi is lower; the ratio of the point kept is the one the
+    next step's test reads.  Ends once max|w_D| <= POLISH_FLOOR, after
+    MAX_POLISH_STEPS steps, when no halving helps, when the solve fails, or
+    when phi has not halved since the latest accepted point at least
+    STALL_EVALUATIONS evaluations back.  Each point (the start, each
+    line-search candidate and each doubled step) is evaluated once, phi
+    and max|w_D| with it, and J is formed only at the points a step
+    leaves, from the D psi and c_D their evaluation carried: per step, the
+    2d x 2d normal equations and one solve; per evaluation, one (n*d, d)
+    product for D psi.  Returns (psi, steps taken, final max|w_D|, why it
+    ended): "floor", "stall", "no_decrease", "solve_failed" or "step_cap"."""
     d = psi.shape[0]
     disp = displacement_operators(d)[1:]
     pair = _adjoint_rows(d)
     ridge = _RIDGE * np.eye(2 * d)
 
     def evaluate(x):
-        # x normalized, its (D psi, c, w) and its phi
+        # x normalized, its (D psi, c, w), its phi and its max|w_D|
         x = x / np.linalg.norm(x)
-        evaluated = _deviations(disp, x, 1.0 / (d + 1.0))
-        return x, evaluated, evaluated[2] @ evaluated[2]
+        d_psi, c, w = _deviations(disp, x, 1.0 / (d + 1.0))
+        return x, (d_psi, c, w), w @ w, np.abs(w).max()
 
-    psi, (d_psi, c, w), phi = evaluate(psi)
+    psi, (d_psi, c, w), phi, dev = evaluate(psi)
     # evaluation count and phi at each accepted point, for the stall rule
     counts, phis = [1], [phi]
     last_linear = False
     ended = "step_cap"
     for iters in range(MAX_POLISH_STEPS):
-        dev = np.abs(w).max()
         if dev <= POLISH_FLOOR:
             ended = "floor"
             break
@@ -256,38 +259,36 @@ def _polish(psi):
             break
         jac = _jacobian(d_psi, c, pair)
         try:
-            dx = np.linalg.solve(jac.T @ jac + ridge, -jac.T @ w)
+            dx = np.linalg.solve(jac.T @ jac + ridge, jac.T @ -w)
         except np.linalg.LinAlgError:
             ended = "solve_failed"
             break
-        step = dx[:d] + 1j * dx[d:]
+        step = dx.view(complex)
         evals = counts[-1]
         for halvings in range(30):
-            cand, evaluated, cand_phi = evaluate(psi + step)
+            cand = evaluate(psi + step)
             evals += 1
-            if cand_phi < phi:
+            if cand[2] < phi:
                 break
             step *= 0.5
         else:
             ended = "no_decrease"
             break
-        full_linear = (halvings == 0
-                       and 0.1 * dev < np.abs(evaluated[2]).max() < 0.5 * dev)
+        full_linear = halvings == 0 and 0.1 * dev < cand[3] < 0.5 * dev
         if full_linear and last_linear:
             longer = evaluate(psi + 2.0 * step)
             evals += 1
-            if longer[2] < cand_phi:
-                cand, evaluated, cand_phi = longer
-                full_linear = (0.1 * dev < np.abs(evaluated[2]).max()
-                               < 0.5 * dev)
+            if longer[2] < cand[2]:
+                cand = longer
+                full_linear = 0.1 * dev < cand[3] < 0.5 * dev
         last_linear = full_linear
-        psi, (d_psi, c, w), phi = cand, evaluated, cand_phi
+        psi, (d_psi, c, w), phi, dev = cand
         counts.append(evals)
         phis.append(phi)
     else:
         iters = MAX_POLISH_STEPS
-    # w is the deviation vector of psi on every exit
-    return psi, iters, float(np.abs(w).max()), ended
+    # dev is max|w_D| of psi on every exit
+    return psi, iters, float(dev), ended
 
 
 def find_fiducial(d: int, seed: int = 0, restarts: int = 10) -> Fiducial:
@@ -453,14 +454,14 @@ def load_catalog(path: str) -> dict:
 
 def save_catalog(catalog: dict, path: str) -> None:
     """Write stored entries (`str(d)` -> JSON value, as `load_catalog`
-    returns them) atomically: dump to a temporary file beside `path`, then
-    rename it over `path`, so readers never see a partial file and a failed
-    write leaves the previous catalog untouched."""
+    returns them) as one line of sorted JSON, no indent (the C encoder),
+    atomically: dump beside `path`, then rename over it, so readers never
+    see a partial file and a failed write leaves the old catalog untouched."""
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w") as fh:
-            fh.write(json.dumps(catalog, sort_keys=True, indent=2) + "\n")
+            fh.write(json.dumps(catalog, sort_keys=True) + "\n")
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(OSError):

@@ -4,6 +4,7 @@ import io
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -451,3 +452,38 @@ def test_state_json_shape_validation(key, length, tmp_path):
 def test_missing_input_file_is_an_error(tmp_path):
     assert main(["convert", "--to", "rho", "--in",
                  str(tmp_path / "nope.json")]) != 0
+
+
+def test_overflowing_state_is_one_error_line_and_no_warning(tmp_path, capsys):
+    # the recovered probabilities overflow on the way to their finiteness
+    # gate; the gate's error is the whole report
+    state = tmp_path / "state.json"
+    state.write_text(json.dumps({"d": 3, "bloch": [1e308] * 8}))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["convert", "--to", "probabilities",
+                     "--in", str(state)]) == 2
+    assert caught == []
+    assert (capsys.readouterr().err
+            == "error: recovered probabilities are not finite\n")
+
+
+@pytest.mark.parametrize("argv, flag, value", [
+    (["geometry", "--d", "abc"], "--d", "abc"),
+    (["verify", "--d", "3", "--tol", "abc"], "--tol", "abc"),
+    (["verify", "--d", "3", "--seed", "-1"], "--seed", "-1"),
+    (["tomography", "--in", "state.json", "--seed", "-3"], "--seed", "-3"),
+    (["find-sic", "--d", "3", "--seed", "-1"], "--seed", "-1"),
+    (["verify", "--d", "3", "--samples", "0"], "--samples", "0"),
+    (["find-sic", "--d", "3", "--restarts", "0"], "--restarts", "0"),
+], ids=["d-abc", "tol-abc", "verify-seed", "tomography-seed",
+        "find-sic-seed", "samples-0", "restarts-0"])
+def test_bad_flag_value_names_the_flag_and_the_value(argv, flag, value,
+                                                     capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [error] = [line for line in captured.err.splitlines() if "error:" in line]
+    assert f"error: argument {flag}: " in error
+    assert error.endswith(f"got {value}")
+

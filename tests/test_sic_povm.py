@@ -295,13 +295,33 @@ def test_catalog_roundtrip(tmp_path):
     assert load_catalog(str(tmp_path / "missing.json")) == {}
 
 
-def test_catalog_file_is_one_sorted_indented_dump(tmp_path, contexts):
+def test_catalog_file_is_one_sorted_compact_dump(tmp_path, contexts):
     path = tmp_path / "cat.json"
     catalog = {str(d): fiducial_to_json(contexts[d].sic.fiducial)
                for d in (5, 2, 3)}
     save_catalog(catalog, str(path))
-    assert path.read_bytes() == (json.dumps(catalog, sort_keys=True, indent=2)
+    assert path.read_bytes() == (json.dumps(catalog, sort_keys=True)
                                  + "\n").encode()
+
+
+def test_indented_catalog_loads_and_is_rewritten_compact(tmp_path,
+                                                        monkeypatch):
+    # the committed fixture is an indented catalog, as older versions wrote
+    fixture = pathlib.Path(__file__).parents[1] / "perfbench" / "fiducials.json"
+    stored = json.loads(fixture.read_text())
+    assert fixture.read_text().count("\n") > len(stored)
+    path = tmp_path / "cat.json"
+    path.write_text(fixture.read_text())
+    monkeypatch.setattr(sic_povm, "find_fiducial", _no_search)
+    fid = get_fiducial(5, catalog_path=str(path))
+    assert fid.source == "search"  # the provenance the entry stored
+    np.testing.assert_array_equal(fid.psi,
+                                  fiducial_from_json(stored["5"]).psi)
+    record_fiducial(qubit_tetrahedron_fiducial(), str(path))
+    rewritten = json.loads(path.read_text())
+    assert path.read_text().count("\n") == 1
+    assert rewritten == {**stored, "2": fiducial_to_json(
+        qubit_tetrahedron_fiducial())}
 
 
 def test_get_fiducial_uses_builtin_for_qubits(tmp_path):
@@ -503,7 +523,8 @@ def test_deviations_and_jacobian_match_einsum(d):
         ref_c = ref_d_psi @ psi.conj()
         ddag_psi = np.einsum('aji,j->ai', disp.conj(), psi)
         h = ref_c.conj()[:, None] * ref_d_psi + ref_c[:, None] * ddag_psi
-        ref_jac = 2.0 * np.hstack([h.real, h.imag])
+        # columns interleave (Re psi_j, Im psi_j)
+        ref_jac = 2.0 * np.stack([h.real, h.imag], axis=-1).reshape(-1, 2 * d)
         d_psi, c, w = sic_povm._deviations(disp, psi, target)
         jac = sic_povm._jacobian(d_psi, c, sic_povm._adjoint_rows(d))
         for got, ref in [(d_psi, ref_d_psi), (c, ref_c),
@@ -938,3 +959,18 @@ def test_bad_catalog_entry_is_refused_alone(key, entry, reason, tmp_path,
 @pytest.mark.parametrize("d", range(3, 11))
 def test_search_converges(d, seed):
     assert find_fiducial(d, seed=seed).converged
+
+
+@pytest.mark.parametrize("d", range(3, 11))
+def test_search_converges_for_fifty_seeds(d):
+    # a guard on the Gauss-Newton step: every seed 0..49 still converges
+    failed = [seed for seed in range(50)
+              if not find_fiducial(d, seed=seed).converged]
+    assert failed == []
+
+
+def test_adjoint_rows_are_built_once_and_read_only():
+    pair = sic_povm._adjoint_rows(5)
+    assert sic_povm._adjoint_rows(5) is pair
+    with pytest.raises(ValueError):
+        pair[0] = 0
