@@ -23,7 +23,7 @@ from .sic_povm import (Fiducial, SicPovm, displacement_operators, wh_orbit,
                        qubit_tetrahedron_fiducial)
 from .state_simplex import (QuantumSimplexContext, build_context,
                             state_to_probabilities, probabilities_to_point,
-                            point_to_state, verify_b_equals_q,
+                            point_to_state, verify_b_equals_q, verify_report,
                             geometry_report, classify_point,
                             find_nonstate_sphere_point, simulate_tomography,
                             trace_distance, project_to_state)
@@ -42,7 +42,7 @@ __all__ = [
     "get_fiducial", "qubit_tetrahedron_fiducial",
     "QuantumSimplexContext", "build_context",
     "state_to_probabilities", "probabilities_to_point", "point_to_state",
-    "verify_b_equals_q", "geometry_report", "classify_point",
+    "verify_b_equals_q", "verify_report", "geometry_report", "classify_point",
     "find_nonstate_sphere_point", "simulate_tomography", "trace_distance",
     "project_to_state",
 ]

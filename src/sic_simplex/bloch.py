@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from .su_basis import SuBasis, StructureConstants, star_product, trace_columns
+from .su_basis import SuBasis, StructureConstants, star_product
 
 # Hermiticity and unit-trace tolerance of input density matrices
 HERM_TRACE_TOL = 1e-12
@@ -88,7 +88,7 @@ def to_bloch(rho: np.ndarray, basis: SuBasis) -> np.ndarray:
     if rho.shape[-2:] != (d, d):
         raise ValueError(f"expected {d}x{d} matrix, got shape {rho.shape}")
     _check_hermitian_unit_trace(rho)
-    traces = rho.reshape(rho.shape[:-2] + (d * d,)) @ trace_columns(basis)
+    traces = rho.reshape(rho.shape[:-2] + (d * d,)) @ basis.trace_columns
     if not _max_abs(traces.imag) <= HERM_TRACE_TOL:
         raise ValueError("Tr(rho sigma_a) has imaginary part beyond tolerance")
     return np.sqrt(d / (2.0 * (d + 1.0))) * traces.real

@@ -31,10 +31,9 @@ from . import bloch, state_simplex
 from .sic_povm import (fiducial_from_json, fiducial_to_json, find_fiducial,
                        json_field, read_json, record_fiducial)
 from .simplex_geometry import to_probabilities
-from .state_simplex import (build_context, geometry_report, sample_blocks,
-                            simulate_tomography, state_to_probabilities,
-                            probabilities_to_point, point_to_state,
-                            verify_b_equals_q)
+from .state_simplex import (build_context, geometry_report,
+                            simulate_tomography, probabilities_to_point,
+                            point_to_state, verify_report)
 
 GEOMETRY_CSV_COLUMNS = ["d", "R_out", "R_in", "R_pure", "m_pure",
                         "sum_p2_pure", "pure_sphere_is_inner"]
@@ -141,7 +140,12 @@ def _state_json(d: int, key: str, value: np.ndarray) -> dict:
 
 
 def _context(d: int, args) -> state_simplex.QuantumSimplexContext:
-    fid = (_read_checked(args.fiducial, fiducial_from_json)
+    def fiducial_for_d(obj):
+        fid = fiducial_from_json(obj)
+        if fid.d != d:
+            raise ValueError(f"holds a d={fid.d} fiducial, not d={d}")
+        return fid
+    fid = (_read_checked(args.fiducial, fiducial_for_d)
            if args.fiducial else None)
     return build_context(d, fiducial=fid, seed=args.seed)
 
@@ -167,40 +171,10 @@ def _cmd_find_sic(args) -> int:
     return 0 if fid.converged else 1
 
 
-def _verify_one(d: int, args) -> dict:
-    ctx = _context(d, args)
-    theorem_dev = verify_b_equals_q(ctx, samples=args.samples, seed=args.seed)
-    rng = np.random.default_rng(args.seed + 1)
-    norm_dev = 0.0
-    p2_dev = 0.0
-    target_norm2 = (d - 1.0) / (d + 1.0)
-    target_p2 = 2.0 / (d * (d + 1.0))
-    for size in sample_blocks(args.samples, d):
-        rho = bloch.random_pure_state(d, rng, size=size)
-        p = state_to_probabilities(rho, ctx)
-        s = probabilities_to_point(p, ctx)
-        norm_dev = np.maximum(norm_dev, np.max(np.abs(
-            np.einsum('ka,ka->k', s, s) - target_norm2)))
-        p2_dev = np.maximum(p2_dev, np.max(np.abs(
-            np.einsum('ki,ki->k', p, p) - target_p2)))
-    geo = geometry_report(d)
-    return {
-        # d and the geometry fields of the CSV columns
-        **{k: geo[k] for k in VERIFY_CSV_COLUMNS if k in geo},
-        "samples": args.samples,
-        "seed": args.seed,
-        "max_theorem_deviation": theorem_dev,
-        "max_pure_norm_deviation": float(norm_dev),
-        "max_pure_sum_p2_deviation": float(p2_dev),
-        "tolerance": args.tol,
-        # np.max, unlike max(), turns a NaN deviation into a failure
-        "passed": bool(np.max([theorem_dev, norm_dev, p2_dev]) < args.tol),
-    }
-
-
 def _cmd_verify(args) -> int:
     dims = list(range(2, 6)) if args.all else [args.d]
-    results = [_verify_one(d, args) for d in dims]
+    results = [verify_report(_context(d, args), args.samples, args.seed,
+                             args.tol) for d in dims]
     for res in results:
         print(f"d={res['d']}: max point-vs-Bloch deviation "
               f"{res['max_theorem_deviation']:.3e}, pure-sphere norm deviation "
@@ -305,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tomography", help="simulate SIC tomography of a state")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--shots", type=int, default=10000)
+    p.add_argument("--shots", type=_at_least(1), default=10000)
     p.add_argument("--seed", type=_at_least(0), default=0)
     p.add_argument("--fiducial", default=None)
     p.add_argument("--out", default=None)

@@ -100,7 +100,6 @@ class Fiducial:
 class SicPovm:
     """d**2 effects E_i with their Bloch direction vectors e_i."""
 
-    d: int
     effects: np.ndarray     # (d**2, d, d) complex
     bloch_dirs: np.ndarray  # (d**2, d**2 - 1) real
     fiducial: Fiducial = field(repr=False)
@@ -344,7 +343,7 @@ def build_sic(fid: Fiducial, basis: SuBasis) -> SicPovm:
     effects = np.einsum('ai,aj->aij', orbit, orbit.conj()) / fid.d
     # one batched call: the d**2 effects are already held in full
     bloch_dirs = to_bloch(fid.d * effects, basis)
-    return SicPovm(d=fid.d, effects=effects, bloch_dirs=bloch_dirs, fiducial=fid)
+    return SicPovm(effects=effects, bloch_dirs=bloch_dirs, fiducial=fid)
 
 
 # ---------------------------------------------------------------------------

@@ -133,6 +133,37 @@ def verify_b_equals_q(ctx: QuantumSimplexContext, samples: int, seed) -> float:
     return float(worst)
 
 
+def verify_report(ctx: QuantumSimplexContext, samples: int, seed,
+                  tol: float) -> dict:
+    """The object `verify` writes for one d: `geometry_report` without d_m
+    and pure_sphere_is_inner, `samples`, `seed`, three deviations,
+    `tolerance`, and `passed` when all are below `tol` (NaN fails).  The
+    theorem sweep is `verify_b_equals_q`.  Haar pure states, drawn from
+    `seed + 1` in the blocks of `sample_blocks`, give the largest deviations
+    of |s|**2 from (d-1)/(d+1) and of sum_i p_i**2 from sum_p2_pure; both
+    laws follow from the frame and the basis normalization."""
+    d = ctx.d
+    geo = geometry_report(d)
+    del geo["d_m"], geo["pure_sphere_is_inner"]
+    theorem_dev = verify_b_equals_q(ctx, samples=samples, seed=seed)
+    rng = np.random.default_rng(seed + 1)
+    norm_dev = p2_dev = 0.0
+    for size in sample_blocks(samples, d):
+        p = state_to_probabilities(
+            bloch.random_pure_state(d, rng, size=size), ctx)
+        s = probabilities_to_point(p, ctx)
+        norm_dev = np.maximum(norm_dev, np.max(np.abs(
+            np.einsum('ka,ka->k', s, s) - (d - 1.0) / (d + 1.0))))
+        p2_dev = np.maximum(p2_dev, np.max(np.abs(
+            np.einsum('ki,ki->k', p, p) - geo["sum_p2_pure"])))
+    return {**geo, "samples": samples, "seed": seed,
+            "max_theorem_deviation": theorem_dev,
+            "max_pure_norm_deviation": float(norm_dev),
+            "max_pure_sum_p2_deviation": float(p2_dev), "tolerance": tol,
+            # np.max, unlike max(), turns a NaN deviation into a failure
+            "passed": bool(np.max([theorem_dev, norm_dev, p2_dev]) < tol)}
+
+
 def geometry_report(d: int) -> dict:
     """Radii and facet data of the state body inside the outcome simplex, as
     the JSON object `geometry` writes.

@@ -40,7 +40,10 @@ class SuBasis:
         object.__setattr__(self, "matrices", matrices)
 
     @cached_property
-    def _trace_columns(self) -> np.ndarray:
+    def trace_columns(self) -> np.ndarray:
+        """(d**2, m) T, Tr(X sigma_a) = (X.reshape(d**2) @ T)_a for any d x d
+        X: column a is sigma_a transposed and flattened, as Tr(X sigma_a) =
+        sum_ij X_ij (sigma_a)_ji.  Read-only, 16 d**2 m bytes."""
         m, d = self.matrices.shape[0], self.d
         columns = self.matrices.transpose(0, 2, 1).reshape(m, d * d)
         columns.setflags(write=False)
@@ -121,14 +124,6 @@ def build_su_basis(d: int) -> SuBasis:
     return SuBasis(d=d, matrices=mats)
 
 
-def trace_columns(basis: SuBasis) -> np.ndarray:
-    """The (d**2, m) matrix T with Tr(X sigma_a) = (X.reshape(d**2) @ T)_a
-    for any d x d matrix X: column a is sigma_a transposed and flattened,
-    since Tr(X sigma_a) = sum_ij X_ij (sigma_a)_ji.  Built once per basis
-    and read-only, 16 d**2 m bytes."""
-    return basis._trace_columns
-
-
 def structure_constants(basis: SuBasis) -> StructureConstants:
     """f_abc = Im Tr(sigma_a sigma_b sigma_c) / 2 and the symmetric
     counterpart dsym_abc = Re Tr(sigma_a sigma_b sigma_c) / 2, as a
@@ -150,7 +145,7 @@ def _dense_tables(basis: SuBasis) -> tuple:
     m, d = S.shape[0], basis.d
     triple = ((S.reshape(m * d, d) @ S.transpose(1, 0, 2).reshape(d, m * d))
               .reshape(m, d, m, d).transpose(0, 2, 1, 3).reshape(-1, d * d)
-              @ trace_columns(basis)).reshape(m, m, m)
+              @ basis.trace_columns).reshape(m, m, m)
     f = triple.imag / 2.0
     dsym = triple.real / 2.0
     f.setflags(write=False)
@@ -180,4 +175,4 @@ def star_product(r1: np.ndarray, r2: np.ndarray,
     flat = sc.basis.matrices.reshape(m, d * d)
     A = (r1 @ flat).reshape(d, d)
     B = A if r2 is r1 else (r2 @ flat).reshape(d, d)
-    return 0.5 * ((A @ B).reshape(-1) @ trace_columns(sc.basis)).real
+    return 0.5 * ((A @ B).reshape(-1) @ sc.basis.trace_columns).real

@@ -9,7 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
-from sic_simplex import bloch, cli, sic_povm
+from sic_simplex import bloch, cli, sic_povm, state_simplex
 from sic_simplex.cli import build_parser, main
 from sic_simplex.sic_povm import (DEFAULT_TARGET_RESIDUAL, find_fiducial,
                                   fiducial_to_json, qubit_tetrahedron_fiducial)
@@ -151,7 +151,7 @@ def test_verify_csv_columns(tmp_path):
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_verify_refuses_non_finite_output(fmt, tmp_path, monkeypatch):
     # a NaN deviation exits 2 before the output file is opened
-    monkeypatch.setattr(cli, "verify_b_equals_q",
+    monkeypatch.setattr(state_simplex, "verify_b_equals_q",
                         lambda ctx, samples, seed: float("nan"))
     out = tmp_path / f"verify.{fmt}"
     assert main(["verify", "--d", "2", "--samples", "10", "--format", fmt,
@@ -395,6 +395,21 @@ def test_malformed_fiducial_file_is_bad_input(d, psi, tmp_path, capsys,
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ["verify", "convert"])
+def test_fiducial_of_another_dimension_names_the_file(command, tmp_path,
+                                                      capsys):
+    fid = tmp_path / "fid2.json"
+    fid.write_text(json.dumps(fiducial_to_json(qubit_tetrahedron_fiducial())))
+    state = _write_state(tmp_path / "state.json", 3, "bloch", [0.0] * 8)
+    argv = {"verify": ["verify", "--d", "3", "--samples", "10"],
+            "convert": ["convert", "--to", "point", "--in", str(state)]}
+    assert main(argv[command] + ["--fiducial", str(fid)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith(f"error: {fid}: ")
+    assert "d=2" in err and "d=3" in err
+
+
 def _assert_only_the_bad_file_is_named(bad, text, tmp_path, capsys):
     state = _write_state(tmp_path / "state.json", 2, "bloch", [0.0] * 3)
     fid = tmp_path / "fid.json"
@@ -476,8 +491,10 @@ def test_overflowing_state_is_one_error_line_and_no_warning(tmp_path, capsys):
     (["find-sic", "--d", "3", "--seed", "-1"], "--seed", "-1"),
     (["verify", "--d", "3", "--samples", "0"], "--samples", "0"),
     (["find-sic", "--d", "3", "--restarts", "0"], "--restarts", "0"),
+    (["tomography", "--in", "state.json", "--shots", "0"], "--shots", "0"),
+    (["tomography", "--in", "state.json", "--shots", "-4"], "--shots", "-4"),
 ], ids=["d-abc", "tol-abc", "verify-seed", "tomography-seed",
-        "find-sic-seed", "samples-0", "restarts-0"])
+        "find-sic-seed", "samples-0", "restarts-0", "shots-0", "shots-neg"])
 def test_bad_flag_value_names_the_flag_and_the_value(argv, flag, value,
                                                      capsys):
     assert main(argv) == 2

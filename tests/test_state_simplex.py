@@ -1,4 +1,5 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -16,7 +17,8 @@ from sic_simplex.state_simplex import (OUTSIDE_SIMPLEX, IN_SIMPLEX_NOT_STATE,
                                        probabilities_to_point, project_to_state,
                                        simulate_tomography,
                                        state_to_probabilities, trace_distance,
-                                       verify_b_equals_q)
+                                       verify_b_equals_q, verify_report)
+from sic_simplex.cli import main
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
@@ -250,6 +252,31 @@ def test_report_json_fields():
     assert obj["m_pure"] == 5
     assert len(obj["d_m"]) == 9
     assert obj["d_m"][-1] == 0.0
+
+
+@pytest.mark.parametrize(
+    "flags, dims", [(["--d", str(d)], [d]) for d in range(2, 6)]
+    + [(["--all"], range(2, 6))], ids=["d2", "d3", "d4", "d5", "all"])
+def test_verify_writes_the_report(flags, dims, tmp_path):
+    # the file `verify --out` writes is the reports, one per dimension
+    out = tmp_path / "verify.json"
+    assert main(["verify", *flags, "--seed", "7", "--out", str(out)]) == 0
+    # the catalog now holds the fiducial the command used for each d
+    reports = [verify_report(build_context(d, seed=7), 1000, 7, 1e-10)
+               for d in dims]
+    assert out.read_text() == json.dumps(reports, sort_keys=True,
+                                         indent=2) + "\n"
+
+
+def test_verify_report_fails_a_deviation_at_the_tolerance(contexts):
+    report = verify_report(contexts[3], samples=200, seed=0, tol=1e-10)
+    worst = max(report[k] for k in ("max_theorem_deviation",
+                                    "max_pure_norm_deviation",
+                                    "max_pure_sum_p2_deviation"))
+    assert report["passed"] and worst > 0.0
+    for tol in (worst, worst / 2):
+        assert not verify_report(contexts[3], samples=200, seed=0,
+                                 tol=tol)["passed"]
 
 
 def test_classify_origin_is_mixed(contexts):
