@@ -13,6 +13,7 @@ The JSON form of states lives in `cli`, the one reader and writer of state
 files.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -31,12 +32,30 @@ def _max_abs(x) -> float:
     return float(np.max(np.abs(x), initial=0.0))
 
 
+@functools.cache
+def _upper_pairs(d: int) -> tuple:
+    """Row and column indices of the upper triangle of a d x d matrix,
+    diagonal included, as read-only arrays."""
+    rows, cols = np.triu_indices(d)
+    rows.flags.writeable = cols.flags.writeable = False
+    return rows, cols
+
+
 def _check_hermitian_unit_trace(rho: np.ndarray) -> None:
     """Raise ValueError unless every matrix of the (..., d, d) stack rho is
-    Hermitian with unit trace within `HERM_TRACE_TOL`; NaN fails both."""
-    # the ufunc, not .conj(), which returns a real rho itself
-    diff = np.conjugate(np.swapaxes(rho, -1, -2))
-    herm = _max_abs(np.subtract(rho, diff, out=diff))
+    Hermitian with unit trace within `HERM_TRACE_TOL`; NaN fails both.
+
+    The Hermitian error max |rho_jk - conj rho_kj| is read once per entry
+    pair: j <= k, gathered with its mirror.  The pair (k, j) gives the same
+    value bit for bit, since its difference is the negated conjugate of this
+    one, so the result equals the max over the whole matrix.
+    """
+    rows, cols = _upper_pairs(rho.shape[-1])
+    # fancy indexing copies, so neither gather is a view of rho, not even
+    # for a real rho, whose .conj() would be rho itself
+    upper, mirror = rho[..., rows, cols], rho[..., cols, rows]
+    herm = _max_abs(np.subtract(upper, np.conjugate(mirror, out=mirror),
+                                out=upper))
     if not herm <= HERM_TRACE_TOL:
         raise ValueError(f"not Hermitian: max |rho - rho^dag| = {herm:.3e}")
     trace_err = _max_abs(np.einsum('...ii->...', rho) - 1.0)

@@ -11,6 +11,8 @@ pure-state sphere; `simulate_tomography` reconstructs states from sampled
 SIC outcomes through the inverse maps.
 """
 
+import functools
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,9 +29,9 @@ PURE_STATE = "pure_state"
 
 # bytes of the (N, d, d) complex state stack of one batched call in the
 # sampling sweeps; no array of a block is larger.  Small blocks keep the
-# sweeps' memory flat in the sample count; they do not keep the pages
-# mapped, since a warm verify op still takes a few hundred minor faults
-# at d >= 4 (see the FOUND line on faults in CHANGES.md)
+# sweeps' memory flat in the sample count, and `_keep_block_pages` lets
+# glibc keep a block's pages mapped for the next block, so a warm sweep
+# takes no page faults
 SAMPLE_BLOCK_BYTES = 128 * 1024
 # smallest eigenvalue below -this makes a sphere point a non-state witness
 MIN_WITNESS_NEGATIVITY = 1e-6
@@ -37,18 +39,35 @@ MIN_WITNESS_NEGATIVITY = 1e-6
 WITNESS_TRIES = 100
 
 
-def sample_blocks(samples: int, d: int) -> list:
-    """Sizes of the batched calls that together draw `samples` d x d states.
+@functools.cache
+def _keep_block_pages() -> None:
+    """Allocate and free one untouched array of 8 blocks, once per process.
+
+    Under glibc's malloc, freeing an mmapped chunk raises the mmap threshold
+    to its size and the trim threshold to twice that (mallopt(3), NOTES).
+    Every array of a block then comes from the heap, and the heap top is no
+    longer trimmed when a block's arrays are freed, so the next block does
+    not fault the same pages back in.  Nothing is written, so no page is
+    touched; under another allocator, or with fixed thresholds, this does
+    nothing.
+    """
+    np.empty(8 * SAMPLE_BLOCK_BYTES, dtype=np.uint8)
+
+
+def sample_blocks(samples: int, d: int) -> Iterator[int]:
+    """Sizes of the batched calls that together draw `samples` d x d states,
+    yielded one at a time.
 
     Each block holds as many states as fit one (N, d, d) complex stack in
     `SAMPLE_BLOCK_BYTES`, and at least one; only the last block is shorter.
     The draws do not depend on the blocking, and the sweeps' memory is flat
     in `samples`.
     """
+    _keep_block_pages()
     per_state = d * d * np.dtype(complex).itemsize
     per_block = max(1, SAMPLE_BLOCK_BYTES // per_state)
-    return [min(per_block, samples - k)
-            for k in range(0, samples, per_block)]
+    for k in range(0, samples, per_block):
+        yield min(per_block, samples - k)
 
 
 @dataclass

@@ -368,3 +368,89 @@ def test_gates_reject_trace_shift(rho, data, eps, sign):
     k = data.draw(st.integers(0, rho.shape[0] - 1))
     rho[k, k] += sign * eps
     _assert_gates_refuse(rho)
+
+
+def _reported_hermitian_error(rho, monkeypatch):
+    """The Hermitian error the gate computes for rho: the first reduction it
+    takes, whether or not it then raises."""
+    seen = []
+    max_abs = bloch._max_abs
+    monkeypatch.setattr(bloch, "_max_abs",
+                        lambda x: seen.append(max_abs(x)) or seen[-1])
+    try:
+        bloch._check_hermitian_unit_trace(rho)
+    except ValueError:
+        pass
+    return seen[0]
+
+
+def _full_hermitian_error(rho):
+    return np.max(np.abs(rho - rho.conj().swapaxes(-1, -2)))
+
+
+@pytest.mark.parametrize("stack", [(), (7,), (2, 3)], ids=["one", "7", "2x3"])
+@pytest.mark.parametrize("d, where", [
+    (d, where) for d in range(1, 9) for where in ("above", "below", "diagonal")
+    if d > 1 or where == "diagonal"])
+def test_hermitian_error_reads_each_pair_once_bit_for_bit(d, where, stack,
+                                                          monkeypatch):
+    rng = np.random.default_rng([d, len(stack), len(where)])
+    shape = stack + (d, d)
+    g = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    # Hermitian up to roundoff, then one breach per matrix, of 1e-12 to 1
+    rho = g @ g.conj().swapaxes(-1, -2) + 1e-15 * g
+    if where == "diagonal":
+        j = k = rng.integers(d)
+    else:
+        j, k = sorted(rng.choice(d, size=2, replace=False))
+        if where == "below":
+            j, k = k, j
+    breach = rng.standard_normal(stack) * 10.0 ** rng.integers(-12, 1, stack)
+    rho[..., j, k] += (1j if where == "diagonal" else 1 + 1j) * breach
+    got = _reported_hermitian_error(rho, monkeypatch)
+    assert np.float64(got).tobytes() == _full_hermitian_error(rho).tobytes()
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+def test_gate_leaves_a_real_input_unchanged(d, monkeypatch):
+    rho = np.random.default_rng(d).standard_normal((4, d, d))
+    before = rho.tobytes()
+    got = _reported_hermitian_error(rho, monkeypatch)
+    assert rho.tobytes() == before
+    assert np.float64(got).tobytes() == _full_hermitian_error(rho).tobytes()
+    # symmetric: the Hermitian check passes and the trace check refuses
+    sym = rho + rho.swapaxes(-1, -2)
+    before = sym.tobytes()
+    with pytest.raises(ValueError, match="trace"):
+        bloch._check_hermitian_unit_trace(sym)
+    assert sym.tobytes() == before
+
+
+@pytest.mark.parametrize("nan", [np.nan, 1j * np.nan, np.nan + 0j],
+                         ids=["real", "imag", "complex"])
+@pytest.mark.parametrize("d", range(1, 5))
+def test_gate_refuses_nan_at_every_entry_of_a_stack(d, nan):
+    base = np.broadcast_to(np.eye(d, dtype=complex) / d, (3, d, d))
+    for j in range(d):
+        for k in range(d):
+            rho = base.copy()
+            rho[1, j, k] = nan
+            with pytest.raises(ValueError):
+                bloch._check_hermitian_unit_trace(rho)
+
+
+@pytest.mark.parametrize("rho, message", [
+    (np.array([[0.5, 0.1], [0.3, 0.5]]),
+     "not Hermitian: max |rho - rho^dag| = 2.000e-01"),
+    (np.array([[0.5, 0.1j], [0.1j, 0.5]]),
+     "not Hermitian: max |rho - rho^dag| = 2.000e-01"),
+    (np.eye(2), "trace is off 1 by 1.000e+00"),
+    (np.zeros((0, 0)), "trace is off 1 by 1.000e+00"),
+    (np.array([[np.nan, 0.0], [0.0, 0.5]]),
+     "not Hermitian: max |rho - rho^dag| = nan"),
+    (np.diag([1.5, -0.5]), "not PSD: min eigenvalue -5.000e-01"),
+], ids=["real", "imag", "trace", "empty", "nan", "psd"])
+def test_validate_density_matrix_error_texts(rho, message):
+    with pytest.raises(ValueError) as err:
+        validate_density_matrix(rho)
+    assert str(err.value) == message

@@ -1,5 +1,12 @@
 import dataclasses
 import json
+import os
+import pathlib
+import platform
+import subprocess
+import sys
+import tracemalloc
+from collections.abc import Iterator
 
 import numpy as np
 import pytest
@@ -156,7 +163,7 @@ def test_identity_map_on_maximally_mixed(contexts):
 @pytest.mark.parametrize("samples", [1, 999, 1000, 12345])
 @pytest.mark.parametrize("d", [2, 3, 5, 8, 11, 100])
 def test_sample_blocks_fit_the_byte_budget(d, samples):
-    blocks = state_simplex.sample_blocks(samples, d)
+    blocks = list(state_simplex.sample_blocks(samples, d))
     assert sum(blocks) == samples
     assert len(set(blocks[:-1])) <= 1 and blocks[-1] <= blocks[0]
     stack_bytes = blocks[0] * d * d * np.dtype(complex).itemsize
@@ -164,9 +171,63 @@ def test_sample_blocks_fit_the_byte_budget(d, samples):
 
 
 def test_sample_blocks_at_the_verify_dimensions():
-    assert state_simplex.sample_blocks(1000, 2) == [1000]
-    assert state_simplex.sample_blocks(1000, 8) == [128] * 7 + [104]
-    assert state_simplex.sample_blocks(3, 100) == [1, 1, 1]
+    assert list(state_simplex.sample_blocks(1000, 2)) == [1000]
+    assert list(state_simplex.sample_blocks(1000, 8)) == [128] * 7 + [104]
+    assert list(state_simplex.sample_blocks(3, 100)) == [1, 1, 1]
+
+
+def test_sample_blocks_memory_is_flat_in_the_sample_count():
+    # checked on a small count first, so that sizes built eagerly fail here
+    # instead of filling memory below
+    assert isinstance(state_simplex.sample_blocks(1000, 3), Iterator)
+    next(state_simplex.sample_blocks(1, 3))   # the once-per-process step
+    tracemalloc.start()
+    try:
+        first = next(state_simplex.sample_blocks(10 ** 15, 3))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert first == 910
+    assert peak < 4096
+
+
+# one warm verify_report call per d, after two to warm up, in a fresh process
+# with one BLAS thread: an earlier test, or BLAS threads started at import,
+# could raise glibc's malloc thresholds and hide the faults
+FAULT_BUDGET_CHILD = """
+import json, resource
+from sic_simplex.state_simplex import build_context, verify_report
+faults = {}
+for d in (3, 5, 8):
+    ctx = build_context(d)
+    for _ in range(2):
+        verify_report(ctx, 1000, 4, 1e-10)
+    faults[d] = []
+    for _ in range(5):
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        verify_report(ctx, 1000, 4, 1e-10)
+        faults[d].append(
+            resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+print(json.dumps(faults))
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                    reason="the block pages stay mapped by glibc's rule")
+def test_warm_verify_takes_no_page_faults(tmp_path):
+    catalog = tmp_path / "fiducials.json"
+    catalog.write_text((pathlib.Path(__file__).parents[1] / "perfbench"
+                        / "fiducials.json").read_text())
+    src = pathlib.Path(state_simplex.__file__).parents[1]
+    env = {**os.environ, "SIC_SIMPLEX_CATALOG": str(catalog),
+           "PYTHONPATH": os.pathsep.join(
+               [str(src)] + os.environ.get("PYTHONPATH", "").split(os.pathsep)),
+           "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+           "MKL_NUM_THREADS": "1"}
+    out = subprocess.run([sys.executable, "-c", FAULT_BUDGET_CHILD], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    faults = json.loads(out)
+    assert all(n <= 16 for calls in faults.values() for n in calls), faults
 
 
 def test_verify_propagates_nan_from_the_frame(contexts):
