@@ -11,8 +11,7 @@ vectors.
 
 from .su_basis import (SuBasis, StructureConstants, build_su_basis,
                        structure_constants, star_product)
-from .simplex_geometry import (SimplexFrame, build_simplex_frame,
-                               frame_from_vertices, to_point,
+from .simplex_geometry import (SimplexFrame, build_simplex_frame, to_point,
                                to_probabilities, facet_distance,
                                sum_p_squared)
 from .bloch import (from_bloch, to_bloch, is_state, is_pure,
@@ -33,8 +32,8 @@ __version__ = "0.1.0"
 __all__ = [
     "SuBasis", "StructureConstants", "build_su_basis", "structure_constants",
     "star_product",
-    "SimplexFrame", "build_simplex_frame", "frame_from_vertices", "to_point",
-    "to_probabilities", "facet_distance", "sum_p_squared",
+    "SimplexFrame", "build_simplex_frame", "to_point", "to_probabilities",
+    "facet_distance", "sum_p_squared",
     "from_bloch", "to_bloch", "is_state", "is_pure", "random_density_matrix",
     "random_pure_state", "validate_density_matrix",
     "Fiducial", "SicPovm", "displacement_operators", "wh_orbit",

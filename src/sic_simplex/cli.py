@@ -10,7 +10,8 @@ and check the whole file before building a context, so a refused file
 never starts a fiducial search or writes the catalog.
 
 Exit status: 0 when every check passed, 1 when a check failed or `find-sic`
-did not converge, 2 on bad input.  Output files are deterministic in the
+did not converge, 2 on bad input, a dimension over `MEMORY_BUDGET`
+included (see `_admit`).  Output files are deterministic in the
 flags (including --seed) and the fiducial used: a command that builds a
 context takes the catalog's converged entry for d when there is one, else
 a fresh search, and --fiducial pins the fiducial.  find-sic always runs a
@@ -42,6 +43,9 @@ VERIFY_CSV_COLUMNS = ["d", "R_out", "R_in", "R_pure", "m_pure",
 TOMOGRAPHY_CSV_COLUMNS = ["shots", "trace_distance", "seed"]
 # the representations a state file may hold, exactly one per file
 STATE_KEYS = ("rho", "bloch", "probabilities", "point")
+# the most memory `_admit` lets a command plan for: a context is admitted up
+# to d = 85 and `geometry` up to d = 6553
+MEMORY_BUDGET = 4 * 2 ** 30
 
 
 def _at_least(least: int):
@@ -69,6 +73,24 @@ def _tol(value: str) -> float:
         raise argparse.ArgumentTypeError(
             f"tolerance must be a finite number > 0, got {value}")
     return tol
+
+
+def _admit(d: int, label: str, context: bool = True) -> int:
+    """d, if the command's estimated memory fits `MEMORY_BUDGET`; else a
+    ValueError naming `label` and the estimate, before anything is built.
+
+    A context or a search holds d**4-sized tables (the basis matrices and
+    their trace columns, the displacement operators, the SIC effects and
+    Bloch directions), about 80 d**4 bytes; `geometry` holds its d**2-entry
+    d_m list and their JSON text, about 100 d**2 bytes.
+    """
+    need = 80 * d ** 4 if context else 100 * d ** 2
+    if need > MEMORY_BUDGET:
+        # whole MiB, rounded up: exact for any d, and never equal to the budget
+        raise ValueError(f"{label} {d} needs about {-(-need // 2 ** 20):,} "
+                         f"MiB, over the {MEMORY_BUDGET // 2 ** 20:,} MiB "
+                         f"budget")
+    return d
 
 
 def _write_json(obj, path: str | None) -> None:
@@ -125,6 +147,7 @@ def _state_fields(obj) -> tuple[int, str, np.ndarray]:
     key = keys[0]
     d, value = json_field(obj, key, lambda d: {
         "rho": (d, d, 2), "probabilities": (d * d,)}.get(key, (d * d - 1,)))
+    _admit(d, '"d":')
     if key == "rho":
         value = value[..., 0] + 1j * value[..., 1]
     return d, key, value
@@ -151,7 +174,7 @@ def _context(d: int, args) -> state_simplex.QuantumSimplexContext:
 
 
 def _cmd_geometry(args) -> int:
-    obj = geometry_report(args.d)
+    obj = geometry_report(_admit(args.d, "--d", context=False))
     if args.format == "json":
         _write_json(obj, args.out)
     else:
@@ -161,7 +184,8 @@ def _cmd_geometry(args) -> int:
 
 
 def _cmd_find_sic(args) -> int:
-    fid = find_fiducial(args.d, seed=args.seed, restarts=args.restarts)
+    fid = find_fiducial(_admit(args.d, "--d"), seed=args.seed,
+                        restarts=args.restarts)
     _write_json(fiducial_to_json(fid), args.out)
     print(f"d={args.d} residual={fid.residual:.6e} "
           f"{'converged' if fid.converged else 'NOT CONVERGED'}",
@@ -172,7 +196,7 @@ def _cmd_find_sic(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    dims = list(range(2, 6)) if args.all else [args.d]
+    dims = list(range(2, 6)) if args.all else [_admit(args.d, "--d")]
     results = [verify_report(_context(d, args), args.samples, args.seed,
                              args.tol) for d in dims]
     for res in results:

@@ -17,13 +17,14 @@ MEMBERSHIP_TOL = 1e-12
 
 @dataclass
 class SimplexFrame:
-    """Vertex vectors of a regular n-simplex centered at the origin."""
+    """Vertex vectors of a regular n-simplex centered at the origin.  Exact
+    from `build_simplex_frame`; a context's t_i = (d+1) e_i have
+    t_i . t_j = -1 + d(d+1)(|<psi_i|psi_j>|**2 - 1/(d+1)) for i != j, so
+    their Gram error is d(d+1) times the fiducial's residual, which
+    `build_sic` bounds."""
 
     n: int
     vertices: np.ndarray  # (n + 1, n) real
-
-    def gram(self) -> np.ndarray:
-        return self.vertices @ self.vertices.T
 
 
 def build_simplex_frame(n: int) -> SimplexFrame:
@@ -37,25 +38,6 @@ def build_simplex_frame(n: int) -> SimplexFrame:
     gram = (n + 1.0) * np.eye(n) - 1.0
     lower = np.linalg.cholesky(gram)
     vertices = np.vstack([lower, -lower.sum(axis=0)])
-    return SimplexFrame(n=n, vertices=vertices)
-
-
-def frame_from_vertices(vertices: np.ndarray, tol: float = 1e-10) -> SimplexFrame:
-    """Wrap an explicit (n+1, n) vertex array, validating the Gram relation
-    t_i . t_j = (n+1) delta_ij - 1 and the zero-sum property within `tol`;
-    NaN fails both checks."""
-    vertices = np.asarray(vertices, dtype=float)
-    if vertices.ndim != 2 or vertices.shape[0] != vertices.shape[1] + 1:
-        raise ValueError(f"expected (n+1, n) vertex array, got {vertices.shape}")
-    n = vertices.shape[1]
-    gram = vertices @ vertices.T
-    expected = (n + 1.0) * np.eye(n + 1) - 1.0
-    err = np.max(np.abs(gram - expected))
-    if not err <= tol:
-        raise ValueError(f"vertex Gram matrix off by {err:.3e} (> {tol:.1e})")
-    zsum = np.max(np.abs(vertices.sum(axis=0)))
-    if not zsum <= tol:
-        raise ValueError(f"vertices do not sum to zero (|sum| = {zsum:.3e})")
     return SimplexFrame(n=n, vertices=vertices)
 
 

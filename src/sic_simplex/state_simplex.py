@@ -279,13 +279,21 @@ def trace_distance(rho_a: np.ndarray, rho_b: np.ndarray) -> float:
 
 
 def project_to_state(rho: np.ndarray) -> np.ndarray:
-    """Clip negative eigenvalues to zero and renormalize the trace to 1."""
+    """The state nearest to the Hermitian matrix rho in Hilbert-Schmidt norm.
+
+    Keeps rho's eigenvectors and projects its spectrum onto the probability
+    simplex: one shift, found from the cumulative sums of the eigenvalues in
+    descending order, then clipping at zero (Smolin, Gambetta and Smith,
+    arXiv:1106.5458).
+    """
     vals, vecs = np.linalg.eigh(rho)
-    vals = np.clip(vals, 0.0, None)
-    total = vals.sum()
-    if total <= 0.0:
-        raise ValueError("matrix has no positive spectral weight")
-    proj = (vecs * (vals / total)) @ vecs.conj().T
+    desc = vals[::-1]
+    shifts = (np.cumsum(desc) - 1.0) / np.arange(1, desc.size + 1)
+    # the eigenvalues kept are a prefix of desc, at least one long; a NaN
+    # spectrum keeps none, and shifts[-1] carries its NaN into the result
+    kept = np.count_nonzero(desc > shifts)
+    vals = np.clip(vals - shifts[kept - 1], 0.0, None)
+    proj = (vecs * vals) @ vecs.conj().T
     return 0.5 * (proj + proj.conj().T)
 
 
@@ -303,9 +311,10 @@ def simulate_tomography(rho: np.ndarray, ctx: QuantumSimplexContext,
     """Sample SIC outcomes from rho and reconstruct it by linear inversion.
 
     The empirical frequencies map to a simplex point, which is read back as
-    a Bloch vector; the raw estimate is then projected onto the states by
-    eigenvalue clipping.  Deterministic for a given seed.  `shots` must lie
-    in [1, 2**63 - 1], the range of numpy's multinomial sampler.
+    a Bloch vector; the raw estimate is then replaced by the nearest state
+    in Hilbert-Schmidt norm, `project_to_state`.  Deterministic for a given
+    seed.  `shots` must lie in [1, 2**63 - 1], the range of numpy's
+    multinomial sampler.
     """
     if not 1 <= shots <= np.iinfo(np.int64).max:
         raise ValueError(f"shots must be in [1, 2**63 - 1], got {shots}")

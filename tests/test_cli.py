@@ -2,6 +2,8 @@ import csv
 import inspect
 import io
 import json
+import os
+import pathlib
 import subprocess
 import sys
 import warnings
@@ -504,3 +506,37 @@ def test_bad_flag_value_names_the_flag_and_the_value(argv, flag, value,
     assert f"error: argument {flag}: " in error
     assert error.endswith(f"got {value}")
 
+
+# each child may map at most 1 GiB, so a command that starts building
+# before it checks --d fails in the child, not on the host
+LIMITED_MAIN = ("import resource, sys; "
+                "resource.setrlimit(resource.RLIMIT_AS, (2 ** 30, 2 ** 30)); "
+                "from sic_simplex.cli import main; sys.exit(main(sys.argv[1:]))")
+
+
+@pytest.mark.skipif(sys.platform != "linux",
+                    reason="RLIMIT_AS bounds a child's memory only on Linux")
+@pytest.mark.parametrize("argv, label", [
+    (["geometry", "--d", "100000"], "--d 100000"),
+    (["verify", "--d", "300", "--samples", "1"], "--d 300"),
+    (["convert", "--to", "point", "--in", "big.json"], 'big.json: "d": 300'),
+], ids=["geometry", "verify", "convert"])
+def test_dimension_beyond_the_memory_budget_is_refused(argv, label,
+                                                       tmp_path):
+    # the maximally mixed state: a valid d = 300 state file
+    (tmp_path / "big.json").write_text(
+        json.dumps({"d": 300, "bloch": [0.0] * (300 ** 2 - 1)}))
+    catalog = tmp_path / "catalog.json"
+    src = pathlib.Path(cli.__file__).parents[1]
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+           "SIC_SIMPLEX_CATALOG": str(catalog),
+           "PYTHONPATH": os.pathsep.join(
+               filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", LIMITED_MAIN, *argv],
+                          capture_output=True, text=True, cwd=tmp_path,
+                          env=env, timeout=60)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith(f"error: {label} needs about ")
+    assert proc.stderr.endswith(" MiB budget\n")
+    assert proc.stderr.count("\n") == 1
+    assert not catalog.exists()

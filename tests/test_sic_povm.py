@@ -20,7 +20,6 @@ from sic_simplex.sic_povm import (Fiducial, displacement_operators, wh_orbit,
                                   fiducial_to_json, fiducial_from_json,
                                   load_catalog, save_catalog,
                                   record_fiducial)
-from sic_simplex.simplex_geometry import frame_from_vertices
 from sic_simplex.state_simplex import build_context
 from sic_simplex.su_basis import build_su_basis, structure_constants
 
@@ -206,12 +205,38 @@ def test_rescaled_effects_are_pure_projectors(d, contexts):
         assert is_pure(ctx.sic.bloch_dirs[i], ctx.sc)
 
 
-@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def _frame_errors(sic, d):
+    """Worst Gram and zero-sum errors of the context frame t_i = (d+1) e_i
+    against t_i . t_j = (n+1) delta_ij - 1 with n = d^2 - 1."""
+    t = (d + 1.0) * sic.bloch_dirs
+    gram_err = np.max(np.abs(t @ t.T - (d * d * np.eye(d * d) - 1.0)))
+    return gram_err, np.max(np.abs(t.sum(axis=0)))
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
 def test_scaled_directions_form_simplex_frame(d, contexts):
     # (d+1) e_i must satisfy the standard Gram relation with n = d^2 - 1
-    frame = frame_from_vertices((d + 1.0) * contexts[d].sic.bloch_dirs,
-                                tol=1e-8)
-    assert frame.n == d * d - 1
+    gram_err, sum_err = _frame_errors(contexts[d].sic, d)
+    assert gram_err < 1e-8 and sum_err < 1e-8
+    if d < 3:
+        return
+    # exactly: t_i . t_j = -1 + d(d+1)(|<psi_i|psi_j>|^2 - 1/(d+1)), so the
+    # Gram error is d(d+1) times the residual, and any orbit sums to zero
+    psi = contexts[d].sic.fiducial.psi
+    rng = np.random.default_rng(d)
+    direction = rng.normal(size=d) + 1j * rng.normal(size=d)
+
+    def moved(step):
+        v = psi + step * direction
+        return Fiducial(psi=v / np.linalg.norm(v))
+    for target in (1e-11, 1e-9):
+        # the residual is linear in a small step: one probe sizes the step
+        fid = moved(target ** 2 / moved(target).residual)
+        assert 0.5 * target < fid.residual < 2.0 * target
+        gram_err, sum_err = _frame_errors(
+            build_sic(fid, contexts[d].basis), d)
+        assert abs(gram_err / (d * (d + 1) * fid.residual) - 1.0) <= 1e-3
+        assert sum_err <= 1e-13
 
 
 def test_fiducial_json_roundtrip():

@@ -4,9 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sic_simplex.simplex_geometry import (MEMBERSHIP_TOL, build_simplex_frame,
-                                          frame_from_vertices, to_point,
-                                          to_probabilities, facet_distance,
-                                          sum_p_squared)
+                                          to_point, to_probabilities,
+                                          facet_distance, sum_p_squared)
 
 
 def test_line_segment():
@@ -23,15 +22,15 @@ def test_tetrahedron_vertex_norms():
 
 def test_n8_gram_matrix():
     frame = build_simplex_frame(8)
-    expected = 9.0 * np.eye(9) - 1.0
-    assert np.max(np.abs(frame.gram() - expected)) < 1e-10
+    gram = frame.vertices @ frame.vertices.T
+    assert np.max(np.abs(gram - (9.0 * np.eye(9) - 1.0))) < 1e-10
 
 
 def test_gram_exactness_and_zero_sum():
     for n in range(1, 36):
         frame = build_simplex_frame(n)
-        expected = (n + 1.0) * np.eye(n + 1) - 1.0
-        assert np.max(np.abs(frame.gram() - expected)) < 1e-10
+        gram = frame.vertices @ frame.vertices.T
+        assert np.max(np.abs(gram - ((n + 1.0) * np.eye(n + 1) - 1.0))) < 1e-10
         assert np.max(np.abs(frame.vertices.sum(axis=0))) < 1e-10
 
 
@@ -268,17 +267,3 @@ def test_sum_p_squared_matches_direct_sum():
         s = to_point(rng.dirichlet(np.ones(9)), frame)
         p, _ = to_probabilities(s, frame)
         assert abs(sum_p_squared(s, frame) - float(p @ p)) < 1e-12
-
-
-def test_frame_from_vertices_validates():
-    good = build_simplex_frame(4).vertices
-    frame = frame_from_vertices(good)
-    assert frame.n == 4
-    with pytest.raises(ValueError):
-        frame_from_vertices(1.1 * good)      # breaks the Gram relation
-    with pytest.raises(ValueError):
-        frame_from_vertices(good[:, :3])     # not (n+1, n)
-    bad = good.copy()
-    bad[0, 0] = np.nan
-    with pytest.raises(ValueError):
-        frame_from_vertices(bad)             # NaN entry

@@ -490,6 +490,16 @@ def test_project_to_state_clips_and_renormalizes():
     np.testing.assert_allclose(project_to_state(rho), rho, atol=1e-12)
 
 
+def test_project_to_state_is_the_nearest_state():
+    # clipping and renormalizing gives diag(7/12, 5/12, 0), 0.2461 from m in
+    # Hilbert-Schmidt norm; the nearest state is 0.2449 away
+    m = np.diag([0.7, 0.5, -0.2])
+    proj = project_to_state(m)
+    np.testing.assert_allclose(proj, np.diag([0.6, 0.4, 0.0]), atol=1e-15)
+    clipped = np.diag([7.0, 5.0, 0.0]) / 12.0
+    assert np.linalg.norm(m - proj) < np.linalg.norm(m - clipped) - 1e-3
+
+
 def test_tomography_deterministic(contexts):
     ctx = contexts[2]
     rho = bloch.random_density_matrix(2, 11)
