@@ -2,12 +2,13 @@
 verification, representation conversion and tomography simulation.
 
 State files are JSON objects {"d": d, key: value} holding exactly one of the
-representations rho, bloch, probabilities and point; `_read_state` and
-`_state_json` are their only reader and writer, and `sic_povm.json_field`
-is the one gate for "d" and the value, as for --fiducial files; an error
-about either file starts with its path.  `convert` and `tomography` read
-and check the whole file before building a context, so a refused file
-never starts a fiducial search or writes the catalog.
+representations rho, bloch, probabilities and point; `_state_fields` (a
+`sic_povm.read_json` check) and `_state_json` are their only reader and
+writer, and `sic_povm.json_field` is the one gate for "d" and the value, as
+for --fiducial files; an error about either file starts with its path.
+`convert` and `tomography` read and check the whole file before building a
+context, so a refused file never starts a fiducial search or writes the
+catalog.
 
 Exit status: 0 when every check passed, 1 when a check failed or `find-sic`
 did not converge, 2 on bad input, a dimension over `MEMORY_BUDGET`
@@ -25,6 +26,11 @@ import inspect
 import json
 import math
 import sys
+
+try:
+    import resource
+except ImportError:  # no rlimits off Unix
+    resource = None
 
 import numpy as np
 
@@ -76,20 +82,27 @@ def _tol(value: str) -> float:
 
 
 def _admit(d: int, label: str, context: bool = True) -> int:
-    """d, if the command's estimated memory fits `MEMORY_BUDGET`; else a
-    ValueError naming `label` and the estimate, before anything is built.
+    """d, if the command's estimated memory fits the budget; else a
+    ValueError naming `label`, the estimate and the budget, before anything
+    is built.
 
     A context or a search holds d**4-sized tables (the basis matrices and
     their trace columns, the displacement operators, the SIC effects and
     Bloch directions), about 80 d**4 bytes; `geometry` holds its d**2-entry
-    d_m list and their JSON text, about 100 d**2 bytes.
+    d_m list and their JSON text, about 100 d**2 bytes.  The budget is
+    `MEMORY_BUDGET`, or the process's soft `RLIMIT_AS` where that is finite
+    and smaller, since the process cannot map more than that.
     """
     need = 80 * d ** 4 if context else 100 * d ** 2
-    if need > MEMORY_BUDGET:
+    budget = MEMORY_BUDGET
+    if resource is not None:
+        soft, _ = resource.getrlimit(resource.RLIMIT_AS)
+        if soft != resource.RLIM_INFINITY:
+            budget = min(budget, soft)
+    if need > budget:
         # whole MiB, rounded up: exact for any d, and never equal to the budget
         raise ValueError(f"{label} {d} needs about {-(-need // 2 ** 20):,} "
-                         f"MiB, over the {MEMORY_BUDGET // 2 ** 20:,} MiB "
-                         f"budget")
+                         f"MiB, over the {budget // 2 ** 20:,} MiB budget")
     return d
 
 
@@ -117,29 +130,13 @@ def _write_csv(columns, rows, path: str | None) -> None:
             out.close()
 
 
-def _read_checked(path: str, check):
-    """`check` of `path`'s JSON value, every ValueError starting with `path`
-    once: `read_json`'s own errors already do, and the check's get it
-    here."""
-    obj = read_json(path)
-    try:
-        return check(obj)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
-
-
-def _read_state(path: str) -> tuple[int, str, np.ndarray]:
-    """A state file's (d, key, value), checked in full before any context
-    is built: a JSON object holding exactly one of `STATE_KEYS` (other keys
-    are ignored), whose "d" and value pass `json_field`, the value of shape
-    (d, d, 2) for rho, (d**2,) for probabilities and (d**2 - 1,) otherwise.
-    A rho value is returned as a complex matrix.
-    """
-    return _read_checked(path, _state_fields)
-
-
 def _state_fields(obj) -> tuple[int, str, np.ndarray]:
-    """The (d, key, value) of a decoded state file; see `_read_state`."""
+    """A state file's (d, key, value), the `read_json` check of `convert`
+    and `tomography`: a JSON object holding exactly one of `STATE_KEYS`
+    (other keys are ignored), whose "d" and value pass `json_field` and
+    `_admit`, the value of shape (d, d, 2) for rho, (d**2,) for
+    probabilities and (d**2 - 1,) otherwise.  Rho comes back complex.
+    """
     keys = [k for k in STATE_KEYS if k in obj] if isinstance(obj, dict) else []
     if len(keys) != 1:
         raise ValueError("input file must be a JSON object holding exactly "
@@ -168,8 +165,7 @@ def _context(d: int, args) -> state_simplex.QuantumSimplexContext:
         if fid.d != d:
             raise ValueError(f"holds a d={fid.d} fiducial, not d={d}")
         return fid
-    fid = (_read_checked(args.fiducial, fiducial_for_d)
-           if args.fiducial else None)
+    fid = read_json(args.fiducial, fiducial_for_d) if args.fiducial else None
     return build_context(d, fiducial=fid, seed=args.seed)
 
 
@@ -215,7 +211,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_convert(args) -> int:
-    d, key, value = _read_state(args.infile)
+    d, key, value = read_json(args.infile, _state_fields)
     ctx = _context(d, args)
     # the simplex point doubles as the Bloch vector
     if key == "rho":
@@ -236,7 +232,11 @@ def _cmd_convert(args) -> int:
 
 
 def _cmd_tomography(args) -> int:
-    d, key, value = _read_state(args.infile)
+    # the flag's rule before any file is read: numpy's multinomial sampler
+    # takes at most 2**63 - 1 shots
+    if args.shots > np.iinfo(np.int64).max:
+        raise ValueError(f"--shots must be in [1, 2**63 - 1], got {args.shots}")
+    d, key, value = read_json(args.infile, _state_fields)
     if key not in ("rho", "bloch"):
         raise ValueError("tomography input must contain rho or bloch")
     ctx = _context(d, args)

@@ -110,27 +110,30 @@ def displacement_operators(d: int) -> np.ndarray:
     """All D_{k,l} = tau^{kl} X^k Z^l as an array indexed by i = k*d + l.
 
     X|j> = |j+1 mod d>, Z|j> = omega^j |j> with omega = exp(2 pi i / d),
-    and tau = -exp(i pi / d) keeps the orbit well defined for even d.
+    and tau = -exp(i pi / d) keeps the orbit well defined for even d.  So
+    column j of D_{k,l} holds tau^{kl} omega^{lj} = exp(i pi e / d) in row
+    j + k mod d, e = (d+1) kl + 2 lj reduced mod 2d before the exponential.
     Built once per d and shared, so the array is read-only.
     """
-    tau = -np.exp(1j * np.pi / d)
-    omega = np.exp(2j * np.pi / d)
-    shift = np.roll(np.eye(d), 1, axis=0)
-    clock = np.diag(omega ** np.arange(d))
-    shift_pow = [np.linalg.matrix_power(shift, k) for k in range(d)]
-    clock_pow = [np.linalg.matrix_power(clock, l) for l in range(d)]
-    ops = np.empty((d * d, d, d), dtype=complex)
-    for k in range(d):
-        for l in range(d):
-            ops[k * d + l] = tau ** (k * l) * (shift_pow[k] @ clock_pow[l])
+    k, l, j = np.ogrid[:d, :d, :d]
+    e = ((d + 1) * k * l + 2 * l * j) % (2 * d)
+    ops = np.zeros((d * d, d, d), dtype=complex)
+    ops[k * d + l, (j + k) % d, j] = np.exp(1j * np.pi / d * e)
     ops.flags.writeable = False
     return ops
+
+
+def _displace(disp: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """D psi for each D of the C-contiguous (n, d, d) stack `disp`, as one
+    (n*d, d) product: the D psi of both `wh_orbit` and `_deviations`."""
+    n, d, _ = disp.shape
+    return (disp.reshape(n * d, d) @ psi).reshape(n, d)
 
 
 def wh_orbit(psi: np.ndarray) -> np.ndarray:
     """Orbit D_{k,l} |psi> for all (k, l), ordered by i = k*d + l."""
     psi = np.asarray(psi, dtype=complex)
-    return np.einsum('aij,j->ai', displacement_operators(psi.shape[0]), psi)
+    return _displace(displacement_operators(psi.shape[0]), psi)
 
 
 def sic_residual(orbit: np.ndarray) -> float:
@@ -183,11 +186,9 @@ def qubit_tetrahedron_fiducial() -> Fiducial:
 # ---------------------------------------------------------------------------
 
 def _deviations(disp: np.ndarray, psi: np.ndarray, target: float):
-    """D psi for every displacement D, the overlaps c_D = <psi|D|psi> and
-    the deviations w_D = |c_D|^2 - target.  The D psi are one product with
-    the C-contiguous (n, d, d) table viewed as (n*d, d)."""
-    n, d, _ = disp.shape
-    d_psi = (disp.reshape(n * d, d) @ psi).reshape(n, d)
+    """D psi for every displacement D (`_displace`), the overlaps
+    c_D = <psi|D|psi> and the deviations w_D = |c_D|^2 - target."""
+    d_psi = _displace(disp, psi)
     c = d_psi @ psi.conj()
     return d_psi, c, np.abs(c) ** 2 - target
 
@@ -327,7 +328,8 @@ def find_fiducial(d: int, seed: int = 0, restarts: int = 10) -> Fiducial:
 
 
 def build_sic(fid: Fiducial, basis: SuBasis) -> SicPovm:
-    """Effects E_i = |psi_i><psi_i| / d and Bloch directions e_i of d*E_i.
+    """Effects E_i = P_i / d and Bloch directions e_i of the projectors
+    P_i = |psi_i><psi_i|, the stack P formed once from the orbit.
 
     Reads the fiducial's cached `orbit` and `residual`, so a fiducial that
     `get_fiducial` already checked forms its orbit once.  Refuses fiducials
@@ -340,10 +342,10 @@ def build_sic(fid: Fiducial, basis: SuBasis) -> SicPovm:
         raise ValueError(f"fiducial residual {fid.residual:.3e} exceeds "
                          f"{MAX_BUILD_RESIDUAL:.1e}")
     orbit = fid.orbit
-    effects = np.einsum('ai,aj->aij', orbit, orbit.conj()) / fid.d
-    # one batched call: the d**2 effects are already held in full
-    bloch_dirs = to_bloch(fid.d * effects, basis)
-    return SicPovm(effects=effects, bloch_dirs=bloch_dirs, fiducial=fid)
+    proj = orbit[:, :, None] * orbit.conj()[:, None, :]
+    # one batched call: the d**2 projectors are already held in full
+    return SicPovm(effects=proj / fid.d, bloch_dirs=to_bloch(proj, basis),
+                   fiducial=fid)
 
 
 # ---------------------------------------------------------------------------
@@ -370,13 +372,14 @@ def fiducial_to_json(fid: Fiducial) -> dict:
     }
 
 
-def read_json(path: str):
-    """`path`'s JSON value.  Every ValueError starts with `path`: a
-    JSONDecodeError, whose `doc` is the text read, if that is not JSON, and
-    a plain one if the file is not UTF-8 or nests too deep."""
+def read_json(path: str, check):
+    """`check` of `path`'s JSON value, every ValueError starting with `path`
+    once: a JSONDecodeError, whose `doc` is the text read, if that is not
+    JSON, a plain one if the file is not UTF-8 or nests too deep, and
+    `check`'s own ValueErrors, which say what the value breaks."""
     with open(path) as fh:
         try:
-            return json.load(fh)
+            return check(json.load(fh))
         except json.JSONDecodeError as exc:
             raise json.JSONDecodeError(f"{path}: {exc.msg}", exc.doc,
                                        exc.pos) from None
@@ -421,7 +424,8 @@ def fiducial_from_json(obj: dict) -> Fiducial:
         raise ValueError("fiducial entry has no psi field")
     d, arr = json_field(obj, "psi", lambda d: (d, 2))
     psi = arr[:, 0] + 1j * arr[:, 1]
-    nrm = np.linalg.norm(psi)
+    # a Python float, so the error shows the number, not numpy's repr
+    nrm = float(np.linalg.norm(psi))
     if not abs(nrm - 1.0) <= 1e-12:
         raise ValueError(f"fiducial vector norm {nrm!r} != 1")
     return Fiducial(psi=psi, source=obj.get("source", "manual"),
@@ -437,18 +441,19 @@ def load_catalog(path: str) -> dict:
 
     Raises ValueError, starting with `path`, when `read_json` does, or when
     the file is JSON but not an object of entries."""
+    def entries(raw):
+        if not isinstance(raw, dict):
+            raise ValueError(f"catalog is a JSON {type(raw).__name__}, "
+                             "not an object")
+        return raw
     if not os.path.exists(path) or not os.path.getsize(path):
         return {}
     try:
-        raw = read_json(path)
+        return read_json(path, entries)
     except json.JSONDecodeError as exc:
         if exc.doc.strip():
             raise
         return {}
-    if not isinstance(raw, dict):
-        raise ValueError(f"{path}: catalog is a JSON "
-                         f"{type(raw).__name__}, not an object")
-    return raw
 
 
 def save_catalog(catalog: dict, path: str) -> None:

@@ -154,16 +154,14 @@ def verify_b_equals_q(ctx: QuantumSimplexContext, samples: int, seed) -> float:
 
 def verify_report(ctx: QuantumSimplexContext, samples: int, seed,
                   tol: float) -> dict:
-    """The object `verify` writes for one d: `geometry_report` without d_m
-    and pure_sphere_is_inner, `samples`, `seed`, three deviations,
-    `tolerance`, and `passed` when all are below `tol` (NaN fails).  The
-    theorem sweep is `verify_b_equals_q`.  Haar pure states, drawn from
-    `seed + 1` in the blocks of `sample_blocks`, give the largest deviations
-    of |s|**2 from (d-1)/(d+1) and of sum_i p_i**2 from sum_p2_pure; both
-    laws follow from the frame and the basis normalization."""
+    """The object `verify` writes for one d: the `_radii` fields, `samples`,
+    `seed`, three deviations, `tolerance`, and `passed` when all are below
+    `tol` (NaN fails).  The theorem sweep is `verify_b_equals_q`.  Haar pure
+    states, drawn from `seed + 1` in the blocks of `sample_blocks`, give the
+    largest deviations of |s|**2 from (d-1)/(d+1) and of sum_i p_i**2 from
+    sum_p2_pure; both follow from the frame and the basis normalization."""
     d = ctx.d
-    geo = geometry_report(d)
-    del geo["d_m"], geo["pure_sphere_is_inner"]
+    geo = _radii(d)
     theorem_dev = verify_b_equals_q(ctx, samples=samples, seed=seed)
     rng = np.random.default_rng(seed + 1)
     norm_dev = p2_dev = 0.0
@@ -185,13 +183,25 @@ def verify_report(ctx: QuantumSimplexContext, samples: int, seed,
 
 def geometry_report(d: int) -> dict:
     """Radii and facet data of the state body inside the outcome simplex, as
-    the JSON object `geometry` writes.
+    the JSON object `geometry` writes: the fields of `_radii`, then d_m,
+    the distances to the m-facets, m = 0..d**2-1, and pure_sphere_is_inner,
+    true for d = 2 (and only then), where the pure sphere is the simplex's
+    inscribed sphere.
+    """
+    n = d * d - 1
+    return {**_radii(d), "d_m": [facet_distance(n, m) for m in range(n + 1)],
+            "pure_sphere_is_inner": d == 2}
+
+
+def _radii(d: int) -> dict:
+    """The fields `geometry` and `verify` share, `geometry_report` without
+    d_m and pure_sphere_is_inner: d, R_out, R_in, R_pure, m_pure and
+    sum_p2_pure, checked against each other.
 
     R_pure is the radius of the sphere carrying the pure states; it touches
     the facets of dimension m_pure = (d+2)(d-1)/2, and every pure state has
-    sum_i p_i^2 = 2/(d(d+1)).  d_m lists the distances to the m-facets,
-    m = 0..d**2-1.  For d = 2 (and only then) the pure sphere is the
-    simplex's inscribed sphere.
+    sum_i p_i^2 = 2/(d(d+1)).  Forms no d**2-entry list, so `verify` never
+    builds the facet table it does not write.
     """
     if d < 2:
         raise ValueError(f"need d >= 2, got d={d}")
@@ -208,16 +218,8 @@ def geometry_report(d: int) -> dict:
         raise RuntimeError(f"d={d}: R_pure lies outside [R_in, R_out]")
     if not ((abs(r_in - r_pure) < 1e-15) == (d == 2)):
         raise RuntimeError(f"d={d}: R_in == R_pure must hold for d = 2 only")
-    return {
-        "d": d,
-        "R_out": r_out,
-        "R_in": r_in,
-        "R_pure": r_pure,
-        "m_pure": m_pure,
-        "d_m": [facet_distance(n, m) for m in range(n + 1)],
-        "sum_p2_pure": 2.0 / (d * (d + 1.0)),
-        "pure_sphere_is_inner": d == 2,
-    }
+    return {"d": d, "R_out": r_out, "R_in": r_in, "R_pure": r_pure,
+            "m_pure": m_pure, "sum_p2_pure": 2.0 / (d * (d + 1.0))}
 
 
 def classify_point(s: np.ndarray, ctx: QuantumSimplexContext) -> str:

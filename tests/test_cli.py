@@ -14,7 +14,8 @@ import pytest
 from sic_simplex import bloch, cli, sic_povm, state_simplex
 from sic_simplex.cli import build_parser, main
 from sic_simplex.sic_povm import (DEFAULT_TARGET_RESIDUAL, find_fiducial,
-                                  fiducial_to_json, qubit_tetrahedron_fiducial)
+                                  fiducial_to_json, qubit_tetrahedron_fiducial,
+                                  read_json)
 from sic_simplex.state_simplex import geometry_report
 
 
@@ -29,7 +30,7 @@ def _write_state(path, d, key, value):
 
 
 def _read_rho(path):
-    d, key, rho = cli._read_state(str(path))
+    d, key, rho = read_json(str(path), cli._state_fields)
     assert key == "rho"
     return rho
 
@@ -453,7 +454,7 @@ def test_state_json_roundtrip(tmp_path):
 def test_bloch_json_roundtrip(tmp_path, contexts):
     r = bloch.to_bloch(bloch.random_density_matrix(3, 2), contexts[3].basis)
     path = _write_state(tmp_path / "bloch.json", 3, "bloch", r)
-    d, key, r2 = cli._read_state(str(path))
+    d, key, r2 = read_json(str(path), cli._state_fields)
     assert (d, key) == (3, "bloch")
     np.testing.assert_allclose(r2, r, atol=1e-15)
 
@@ -463,7 +464,7 @@ def test_bloch_json_roundtrip(tmp_path, contexts):
 def test_state_json_shape_validation(key, length, tmp_path):
     path = _write_state(tmp_path / "s.json", 3, key, [0.0] * length)
     with pytest.raises(ValueError):
-        cli._read_state(str(path))
+        read_json(str(path), cli._state_fields)
 
 
 def test_missing_input_file_is_an_error(tmp_path):
@@ -518,9 +519,10 @@ LIMITED_MAIN = ("import resource, sys; "
                     reason="RLIMIT_AS bounds a child's memory only on Linux")
 @pytest.mark.parametrize("argv, label", [
     (["geometry", "--d", "100000"], "--d 100000"),
+    (["geometry", "--d", "6553"], "--d 6553"),
     (["verify", "--d", "300", "--samples", "1"], "--d 300"),
     (["convert", "--to", "point", "--in", "big.json"], 'big.json: "d": 300'),
-], ids=["geometry", "verify", "convert"])
+], ids=["geometry", "geometry-rlimit", "verify", "convert"])
 def test_dimension_beyond_the_memory_budget_is_refused(argv, label,
                                                        tmp_path):
     # the maximally mixed state: a valid d = 300 state file

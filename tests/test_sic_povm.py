@@ -1,8 +1,10 @@
+import cmath
 import dataclasses
 import functools
 import hashlib
 import json
 import logging
+import math
 import pathlib
 import unittest
 
@@ -41,6 +43,23 @@ def test_displacement_indexing():
                                atol=1e-14)                    # i = 0*d + 1 -> Z
     np.testing.assert_allclose(ops[d], np.roll(np.eye(d), 1, axis=0),
                                atol=1e-15)                    # i = 1*d + 0 -> X
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 8, 12, 16, 28, 40])
+def test_displacements_follow_the_index_rule(d):
+    # D_{k,l}|j> = tau^{kl} omega^{lj} |j + k>, built entry by entry with
+    # cmath from the exponents reduced mod the orders of tau and omega
+    ops = displacement_operators(d)
+    ref = np.zeros((d * d, d, d), dtype=complex)
+    for k in range(d):
+        for l in range(d):
+            tau_kl = (-1) ** (k * l) * cmath.exp(
+                1j * math.pi * (k * l % (2 * d)) / d)
+            for j in range(d):
+                ref[k * d + l, (j + k) % d, j] = tau_kl * cmath.exp(
+                    2j * math.pi * (l * j % d) / d)
+    assert np.max(np.abs(ops - ref)) <= 1e-14
+    assert np.all(ops[ref == 0] == 0)
 
 
 def test_orbit_vectors_are_unit_norm():
