@@ -101,6 +101,13 @@ def to_bloch(rho: np.ndarray, basis: SuBasis) -> np.ndarray:
     Requires every rho Hermitian with unit trace (within `HERM_TRACE_TOL`);
     the imaginary residue of the traces is checked against the same
     tolerance and then discarded.  NaN fails every check.
+
+    The Hermitian gate alone bounds that residue by `HERM_TRACE_TOL` on
+    the off-diagonal sigma_a, but on diagonal l only by
+    sqrt(2l/(l+1)) * `HERM_TRACE_TOL`, below sqrt(2) * `HERM_TRACE_TOL`
+    (each |Im rho_jj| is at most half the tolerance), so this check is the
+    stricter one: at d = 3, Im rho_jj = (h, h, -h) with h = 0.49e-12
+    passes both gates, and only this one refuses it.
     """
     d = basis.d
     rho = np.asarray(rho)

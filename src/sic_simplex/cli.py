@@ -5,7 +5,8 @@ State files are JSON objects {"d": d, key: value} holding exactly one of the
 representations rho, bloch, probabilities and point; `_state_fields` (a
 `sic_povm.read_json` check) and `_state_json` are their only reader and
 writer, and `sic_povm.json_field` is the one gate for "d" and the value, as
-for --fiducial files; an error about either file starts with its path.
+for --fiducial files; an error about either file starts with its path, and
+so does every later check of a state file's value (`sic_povm.naming`).
 `convert` and `tomography` read and check the whole file before building a
 context, so a refused file never starts a fiducial search or writes the
 catalog.
@@ -36,7 +37,7 @@ import numpy as np
 
 from . import bloch, state_simplex
 from .sic_povm import (fiducial_from_json, fiducial_to_json, find_fiducial,
-                       json_field, read_json, record_fiducial)
+                       json_field, naming, read_json, record_fiducial)
 from .simplex_geometry import to_probabilities
 from .state_simplex import (build_context, geometry_report,
                             simulate_tomography, probabilities_to_point,
@@ -213,22 +214,33 @@ def _cmd_verify(args) -> int:
 def _cmd_convert(args) -> int:
     d, key, value = read_json(args.infile, _state_fields)
     ctx = _context(d, args)
-    # the simplex point doubles as the Bloch vector
-    if key == "rho":
-        s = bloch.to_bloch(value, ctx.basis)
-    elif key == "probabilities":
-        s = probabilities_to_point(value, ctx)
-    else:
-        s = value
-    if args.to == "rho":
-        out = _state_json(d, "rho", point_to_state(s, ctx))
-    elif args.to == "probabilities":
-        p, inside = to_probabilities(s, ctx.frame)
-        out = {**_state_json(d, "probabilities", p), "inside": inside}
-    else:
-        out = _state_json(d, args.to, s)
-    _write_json(out, args.out)
+    # past the context, every check and the output gate judge the value
+    with naming(args.infile):
+        # the simplex point doubles as the Bloch vector
+        if key == "rho":
+            s = bloch.to_bloch(value, ctx.basis)
+        elif key == "probabilities":
+            s = probabilities_to_point(value, ctx)
+        else:
+            s = value
+        if args.to == "rho":
+            out = _state_json(d, "rho", point_to_state(s, ctx))
+        elif args.to == "probabilities":
+            p, inside = to_probabilities(s, ctx.frame)
+            out = {**_state_json(d, "probabilities", p), "inside": inside}
+        else:
+            out = _state_json(d, args.to, s)
+        _write_json(out, args.out)
     return 0
+
+
+def _rho_or_bloch(obj) -> tuple[int, str, np.ndarray]:
+    """`_state_fields`, for a file holding rho or bloch: `tomography`'s
+    `read_json` check."""
+    d, key, value = _state_fields(obj)
+    if key not in ("rho", "bloch"):
+        raise ValueError("tomography input must contain rho or bloch")
+    return d, key, value
 
 
 def _cmd_tomography(args) -> int:
@@ -236,16 +248,17 @@ def _cmd_tomography(args) -> int:
     # takes at most 2**63 - 1 shots
     if args.shots > np.iinfo(np.int64).max:
         raise ValueError(f"--shots must be in [1, 2**63 - 1], got {args.shots}")
-    d, key, value = read_json(args.infile, _state_fields)
-    if key not in ("rho", "bloch"):
-        raise ValueError("tomography input must contain rho or bloch")
+    d, key, value = read_json(args.infile, _rho_or_bloch)
     ctx = _context(d, args)
-    rho = value if key == "rho" else point_to_state(value, ctx)
-    bloch.validate_density_matrix(rho)
-    result = simulate_tomography(rho, ctx, shots=args.shots, seed=args.seed)
-    row = {"shots": result.shots, "trace_distance": result.trace_distance,
-           "seed": args.seed}
-    _write_csv(TOMOGRAPHY_CSV_COLUMNS, [row], args.out)
+    # past the context, every check and the output gate judge the state
+    with naming(args.infile):
+        rho = value if key == "rho" else point_to_state(value, ctx)
+        bloch.validate_density_matrix(rho)
+        result = simulate_tomography(rho, ctx, shots=args.shots,
+                                     seed=args.seed)
+        row = {"shots": result.shots, "trace_distance": result.trace_distance,
+               "seed": args.seed}
+        _write_csv(TOMOGRAPHY_CSV_COLUMNS, [row], args.out)
     print(f"shots={args.shots} trace_distance={result.trace_distance:.6e}",
           file=sys.stdout if args.out else sys.stderr)
     return 0

@@ -372,22 +372,31 @@ def fiducial_to_json(fid: Fiducial) -> dict:
     }
 
 
+@contextlib.contextmanager
+def naming(path: str):
+    """Start every ValueError raised in the block with `path`, once: the
+    file whose value caused it.  A JSONDecodeError stays one, with the text
+    read as its `doc`."""
+    try:
+        yield
+    except json.JSONDecodeError as exc:
+        raise json.JSONDecodeError(f"{path}: {exc.msg}", exc.doc,
+                                   exc.pos) from None
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def read_json(path: str, check):
     """`check` of `path`'s JSON value, every ValueError starting with `path`
-    once: a JSONDecodeError, whose `doc` is the text read, if that is not
-    JSON, a plain one if the file is not UTF-8 or nests too deep, and
-    `check`'s own ValueErrors, which say what the value breaks."""
-    with open(path) as fh:
+    once (`naming`): a JSONDecodeError if the file is not JSON, a plain one
+    if it is not UTF-8 or nests too deep, and `check`'s own ValueErrors,
+    which say what the value breaks."""
+    with open(path) as fh, naming(path):
         try:
             return check(json.load(fh))
-        except json.JSONDecodeError as exc:
-            raise json.JSONDecodeError(f"{path}: {exc.msg}", exc.doc,
-                                       exc.pos) from None
         except RecursionError:
             # the decoder recurses once per nesting level
-            raise ValueError(f"{path}: JSON nested too deeply") from None
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from None
+            raise ValueError("JSON nested too deeply") from None
 
 
 def json_field(obj: dict, key: str, shape) -> tuple[int, np.ndarray]:

@@ -96,6 +96,10 @@ def build_su_basis(d: int) -> SuBasis:
     Built once per d and shared, with the tables cached on it: every call
     for the same d returns the same read-only basis.
 
+    One scatter of the index rule into a zeroed (m, d, d) array: pair i of
+    `np.triu_indices` order is matrix i, its antisymmetric partner matrix
+    n + i, n = d(d-1)/2, and diagonal l matrix 2n + l - 1.
+
     Raises
     ------
     ValueError
@@ -103,24 +107,17 @@ def build_su_basis(d: int) -> SuBasis:
     """
     if d < 2:
         raise ValueError(f"su(d) basis needs d >= 2, got d={d}")
-    mats = []
-    for j in range(d):
-        for k in range(j + 1, d):
-            m = np.zeros((d, d), dtype=complex)
-            m[j, k] = 1.0
-            m[k, j] = 1.0
-            mats.append(m)
-    for j in range(d):
-        for k in range(j + 1, d):
-            m = np.zeros((d, d), dtype=complex)
-            m[j, k] = -1.0j
-            m[k, j] = 1.0j
-            mats.append(m)
-    for l in range(1, d):
-        m = np.zeros((d, d), dtype=complex)
-        m[np.arange(l), np.arange(l)] = 1.0
-        m[l, l] = -float(l)
-        mats.append(np.sqrt(2.0 / (l * (l + 1))) * m)
+    rows, cols = np.triu_indices(d, k=1)
+    n = rows.size
+    pairs = np.arange(n)
+    mats = np.zeros((d * d - 1, d, d), dtype=complex)
+    mats[pairs, rows, cols] = mats[pairs, cols, rows] = 1.0
+    mats[n + pairs, rows, cols] = -1.0j
+    mats[n + pairs, cols, rows] = 1.0j
+    l, j = np.ogrid[1:d, :d]
+    scale = np.sqrt(2.0 / (l * (l + 1)))
+    mats[2 * n + l - 1, j, j] = np.where(j < l, scale,
+                                         np.where(j == l, -l * scale, 0.0))
     return SuBasis(d=d, matrices=mats)
 
 

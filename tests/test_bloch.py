@@ -454,3 +454,42 @@ def test_validate_density_matrix_error_texts(rho, message):
     with pytest.raises(ValueError) as err:
         validate_density_matrix(rho)
     assert str(err.value) == message
+
+
+# boundary pairs: each tolerance is probed at about half its value, which
+# the gate accepts, and at about twice it, which the gate refuses; the
+# values are literals, so a changed constant fails here
+
+
+@pytest.mark.parametrize("neg, ok", [(0.5e-10, True), (2e-10, False)])
+def test_psd_gates_sit_at_1e_10(neg, ok):
+    rho = np.diag([1.0 + neg, -neg, 0.0])
+    ok_r, min_eig = is_state(to_bloch(rho, BASES[3]), BASES[3])
+    assert ok_r is ok and abs(min_eig + neg) < 1e-15
+    if ok:
+        validate_density_matrix(rho)
+    else:
+        with pytest.raises(ValueError, match="not PSD"):
+            validate_density_matrix(rho)
+
+
+@pytest.mark.parametrize("excess, pure", [(0.5e-9, True), (2e-9, False)])
+def test_purity_gate_sits_at_1e_9(excess, pure):
+    # at d = 2 the star-product condition is void, so |r|**2 decides
+    r = np.array([1.0, 2.0, 2.0]) / 3.0 * np.sqrt(1.0 / 3.0 + excess)
+    assert abs(r @ r - 1.0 / 3.0 - excess) < 1e-16
+    assert is_pure(r, SCS[2]) is pure
+
+
+@pytest.mark.parametrize("h, ok", [(0.2e-12, True), (0.49e-12, False)])
+def test_imaginary_trace_gate_is_its_own_check(h, ok):
+    # Im rho_jj = (h, h, -h) passes the Hermitian gate (2h <= 1e-12) and the
+    # trace gate (h), and Im Tr(rho sigma_8) = 4h/sqrt(3) is 1.13e-12 at
+    # h = 0.49e-12: only the imaginary-trace gate refuses it
+    rho = np.eye(3) / 3.0 + 1j * np.diag([h, h, -h])
+    bloch._check_hermitian_unit_trace(rho)
+    if ok:
+        assert np.max(np.abs(to_bloch(rho, BASES[3]))) < 1e-15
+    else:
+        with pytest.raises(ValueError, match="imaginary part"):
+            to_bloch(rho, BASES[3])

@@ -474,7 +474,7 @@ def test_missing_input_file_is_an_error(tmp_path):
 
 def test_overflowing_state_is_one_error_line_and_no_warning(tmp_path, capsys):
     # the recovered probabilities overflow on the way to their finiteness
-    # gate; the gate's error is the whole report
+    # gate; the gate's error, naming the file, is the whole report
     state = tmp_path / "state.json"
     state.write_text(json.dumps({"d": 3, "bloch": [1e308] * 8}))
     with warnings.catch_warnings(record=True) as caught:
@@ -483,7 +483,7 @@ def test_overflowing_state_is_one_error_line_and_no_warning(tmp_path, capsys):
                      "--in", str(state)]) == 2
     assert caught == []
     assert (capsys.readouterr().err
-            == "error: recovered probabilities are not finite\n")
+            == f"error: {state}: recovered probabilities are not finite\n")
 
 
 @pytest.mark.parametrize("argv, flag, value", [
@@ -542,3 +542,31 @@ def test_dimension_beyond_the_memory_budget_is_refused(argv, label,
     assert proc.stderr.endswith(" MiB budget\n")
     assert proc.stderr.count("\n") == 1
     assert not catalog.exists()
+
+
+@pytest.mark.parametrize("command, text, error", [
+    (["tomography"], '{"d": 2, "probabilities": [0.25, 0.25, 0.25, 0.25]}',
+     "tomography input must contain rho or bloch"),
+    (["tomography"], '{"d": 2, "rho": [[[1.5, 0], [0, 0]], [[0, 0], '
+     '[-0.5, 0]]]}', "not PSD: min eigenvalue -5.000e-01"),
+    (["tomography"], '{"d": 2, "rho": [[[1, 0], [0.1, 0]], [[0, 0], '
+     '[0, 0]]]}', "not Hermitian: max |rho - rho^dag| = 1.000e-01"),
+    (["tomography"], '{"d": 2, "bloch": [0, 0, 2]}',
+     "not PSD: min eigenvalue -1.232e+00"),
+    (["convert", "--to", "point"], '{"d": 2, "rho": [[[2, 0], [0, 0]], '
+     '[[0, 0], [0, 0]]]}', "trace is off 1 by 1.000e+00"),
+    (["convert", "--to", "point"],
+     '{"d": 2, "probabilities": [0.5, 0.5, 0.5, -0.5]}',
+     "probabilities out of [0, 1]"),
+    # a finite point whose matrix overflows to inf
+    (["convert", "--to", "rho"], json.dumps({"d": 3, "point": [1.5e308] * 8}),
+     "Out of range float values are not JSON compliant"),
+], ids=["tomography-probabilities", "tomography-psd", "tomography-hermitian",
+        "tomography-bloch-psd", "convert-trace", "convert-range",
+        "convert-overflow"])
+def test_value_errors_name_the_state_file(command, text, error, tmp_path,
+                                          capsys):
+    state = tmp_path / "state.json"
+    state.write_text(text)
+    assert main(command + ["--in", str(state)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {state}: {error}")

@@ -37,14 +37,6 @@ from sic_simplex.state_simplex import (build_context, probabilities_to_point,
 FIXTURE = pathlib.Path(__file__).parents[1] / "perfbench" / "fiducials.json"
 DIMS = (2, 3, 4)
 BIG = 2 ** 63
-# errors of the checks `cli` runs on a state after its file passed the gate
-# (most need the context): they name the check, not the file
-CONTEXT_CHECKS = ("error: recovered probabilities are not finite",
-                  "error: probabilities out of [0, 1]",
-                  "error: probabilities sum off 1 by ",
-                  "error: not Hermitian: ", "error: trace is off 1 by ",
-                  "error: not PSD: ",
-                  "error: tomography input must contain rho or bloch")
 
 
 @functools.cache
@@ -261,11 +253,7 @@ def test_main_survives_mutated_inputs(data):
             [line] = [x for x in err.splitlines() if "error:" in x]
             # numbers as Python prints them, never as numpy's repr
             assert "np." not in line
-            named = [c for c in culprits if c in line]
-            state = next((c for c in culprits if c.endswith("state.json")),
-                         None)
-            assert named or (state and any(c in line
-                                           for c in CONTEXT_CHECKS)), line
+            assert [c for c in culprits if c in line], line
             assert catalog.read_bytes() == before
         if code == 0:
             _read_back(argv[0], argv, out)

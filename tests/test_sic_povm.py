@@ -166,6 +166,34 @@ def test_build_sic_refuses_nan_residual():
         build_sic(Fiducial(psi=psi), build_su_basis(2))
 
 
+def _tetrahedron_at_residual(residual):
+    """The exact d = 2 fiducial moved along a fixed direction until its
+    residual is `residual`, within 10%: the residual is linear in the
+    step, about 2.05 per unit."""
+    psi = qubit_tetrahedron_fiducial().psi + residual / 2.05 * np.array(
+        [1.0, -1.0j])
+    fid = Fiducial(psi=psi / np.linalg.norm(psi))
+    assert abs(fid.residual / residual - 1.0) < 0.1
+    return fid
+
+
+@pytest.mark.parametrize("residual, converged", [(5e-11, True),
+                                                 (2e-10, False)])
+def test_convergence_target_sits_at_1e_10(residual, converged):
+    # a literal, so a changed target fails here
+    assert _tetrahedron_at_residual(residual).converged is converged
+
+
+@pytest.mark.parametrize("residual, built", [(5e-7, True), (2e-6, False)])
+def test_build_sic_bound_sits_at_1e_6(residual, built):
+    fid = _tetrahedron_at_residual(residual)
+    if built:
+        assert build_sic(fid, build_su_basis(2)).effects.shape == (4, 2, 2)
+    else:
+        with pytest.raises(ValueError, match="exceeds 1.0e-06"):
+            build_sic(fid, build_su_basis(2))
+
+
 def test_fiducial_is_frozen_and_read_only():
     psi = qubit_tetrahedron_fiducial().psi.copy()
     fid = Fiducial(psi=psi, source="builtin")

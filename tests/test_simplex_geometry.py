@@ -267,3 +267,15 @@ def test_sum_p_squared_matches_direct_sum():
         s = to_point(rng.dirichlet(np.ones(9)), frame)
         p, _ = to_probabilities(s, frame)
         assert abs(sum_p_squared(s, frame) - float(p @ p)) < 1e-12
+
+
+@pytest.mark.parametrize("excess, ok", [(0.5e-12, True), (2e-12, False)])
+def test_to_point_sum_gate_sits_at_1e_12(excess, ok):
+    # a literal, so a changed gate fails here
+    p = np.full(4, 0.25)
+    p[0] += excess
+    if ok:
+        to_point(p, build_simplex_frame(3))
+    else:
+        with pytest.raises(ValueError, match="sum off 1 by 2.000e-12"):
+            to_point(p, build_simplex_frame(3))

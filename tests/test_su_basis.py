@@ -64,6 +64,33 @@ def test_reconstruction_completeness(d):
         assert np.max(np.abs(rebuilt - h)) < 1e-10
 
 
+def _per_matrix_basis(d):
+    """The basis one matrix at a time, in the order `SuBasis` documents."""
+    pairs = [(j, k) for j in range(d) for k in range(j + 1, d)]
+    mats = []
+    for j, k in pairs:
+        m = np.zeros((d, d), dtype=complex)
+        m[j, k] = m[k, j] = 1.0
+        mats.append(m)
+    for j, k in pairs:
+        m = np.zeros((d, d), dtype=complex)
+        m[j, k], m[k, j] = -1.0j, 1.0j
+        mats.append(m)
+    for l in range(1, d):
+        m = np.zeros((d, d), dtype=complex)
+        m[np.arange(l), np.arange(l)] = 1.0
+        m[l, l] = -float(l)
+        mats.append(np.sqrt(2.0 / (l * (l + 1))) * m)
+    return np.array(mats)
+
+
+@pytest.mark.parametrize("d", range(2, 13))
+def test_scatter_equals_the_per_matrix_build_bit_for_bit(d):
+    # tobytes, since array_equal does not see the -0.0 real part of -1j
+    assert (build_su_basis(d).matrices.tobytes()
+            == _per_matrix_basis(d).tobytes())
+
+
 def test_determinism():
     # the cached basis against an uncached build
     np.testing.assert_array_equal(build_su_basis(4).matrices,
