@@ -29,7 +29,7 @@ PURITY_TOL = 1e-9
 
 def _max_abs(x) -> float:
     """Largest |x|, NaN if any entry is NaN, 0.0 for an empty array."""
-    return float(np.max(np.abs(x), initial=0.0))
+    return float(np.maximum.reduce(np.abs(x), axis=None, initial=0.0))
 
 
 @functools.cache
@@ -117,7 +117,7 @@ def to_bloch(rho: np.ndarray, basis: SuBasis) -> np.ndarray:
     traces = rho.reshape(rho.shape[:-2] + (d * d,)) @ basis.trace_columns
     if not _max_abs(traces.imag) <= HERM_TRACE_TOL:
         raise ValueError("Tr(rho sigma_a) has imaginary part beyond tolerance")
-    return np.sqrt(d / (2.0 * (d + 1.0))) * traces.real
+    return math.sqrt(d / (2.0 * (d + 1.0))) * traces.real
 
 
 def is_state(r: np.ndarray, basis: SuBasis):

@@ -161,13 +161,18 @@ def _state_json(d: int, key: str, value: np.ndarray) -> dict:
 
 
 def _context(d: int, args) -> state_simplex.QuantumSimplexContext:
+    """The context for d, of the --fiducial file if given; an error about
+    that file's value, its SIC residual included, starts with its path."""
     def fiducial_for_d(obj):
         fid = fiducial_from_json(obj)
         if fid.d != d:
             raise ValueError(f"holds a d={fid.d} fiducial, not d={d}")
         return fid
-    fid = read_json(args.fiducial, fiducial_for_d) if args.fiducial else None
-    return build_context(d, fiducial=fid, seed=args.seed)
+    if not args.fiducial:
+        return build_context(d, seed=args.seed)
+    fid = read_json(args.fiducial, fiducial_for_d)
+    with naming(args.fiducial):
+        return build_context(d, fiducial=fid, seed=args.seed)
 
 
 def _cmd_geometry(args) -> int:

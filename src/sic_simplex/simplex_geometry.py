@@ -53,10 +53,12 @@ def to_point(p: np.ndarray, frame: SimplexFrame) -> np.ndarray:
     if p.shape[-1:] != (frame.n + 1,):
         raise ValueError(f"expected {frame.n + 1} probabilities, got {p.shape}")
     # initial=0.0 leaves both checks unchanged and admits an empty batch
-    lo, hi = np.min(p, initial=0.0), np.max(p, initial=0.0)
+    lo = np.minimum.reduce(p, axis=None, initial=0.0)
+    hi = np.maximum.reduce(p, axis=None, initial=0.0)
     if not (lo >= -MEMBERSHIP_TOL and hi <= 1.0 + MEMBERSHIP_TOL):
         raise ValueError("probabilities out of [0, 1]")
-    sum_err = float(np.max(np.abs(p.sum(axis=-1) - 1.0), initial=0.0))
+    sum_err = float(np.maximum.reduce(np.abs(np.add.reduce(p, axis=-1) - 1.0),
+                                      axis=None, initial=0.0))
     if not sum_err <= 1e-12:
         raise ValueError(f"probabilities sum off 1 by {sum_err:.3e}")
     return p @ frame.vertices
@@ -95,7 +97,7 @@ def facet_distance(n: int, m: int) -> float:
     """
     if not 0 <= m <= n:
         raise ValueError(f"facet dimension m={m} out of range [0, {n}]")
-    return float(np.sqrt((n - m) / (m + 1.0)))
+    return math.sqrt((n - m) / (m + 1.0))
 
 
 def sum_p_squared(s: np.ndarray, frame: SimplexFrame) -> float:

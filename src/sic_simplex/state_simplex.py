@@ -12,6 +12,7 @@ SIC outcomes through the inverse maps.
 """
 
 import functools
+import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -148,7 +149,7 @@ def verify_b_equals_q(ctx: QuantumSimplexContext, samples: int, seed) -> float:
         r = bloch.to_bloch(rho, ctx.basis)
         s = probabilities_to_point(_bloch_to_probabilities(r, ctx), ctx)
         s -= r
-        worst = np.maximum(worst, np.max(np.abs(s, out=s)))
+        worst = np.maximum.reduce(np.abs(s, out=s), axis=None, initial=worst)
     return float(worst)
 
 
@@ -169,16 +170,19 @@ def verify_report(ctx: QuantumSimplexContext, samples: int, seed,
         p = state_to_probabilities(
             bloch.random_pure_state(d, rng, size=size), ctx)
         s = probabilities_to_point(p, ctx)
-        norm_dev = np.maximum(norm_dev, np.max(np.abs(
-            np.einsum('ka,ka->k', s, s) - (d - 1.0) / (d + 1.0))))
-        p2_dev = np.maximum(p2_dev, np.max(np.abs(
-            np.einsum('ki,ki->k', p, p) - geo["sum_p2_pure"])))
+        norm = np.einsum('ka,ka->k', s, s) - (d - 1.0) / (d + 1.0)
+        norm_dev = np.maximum.reduce(np.abs(norm, out=norm), axis=None,
+                                     initial=norm_dev)
+        p2 = np.einsum('ki,ki->k', p, p) - geo["sum_p2_pure"]
+        p2_dev = np.maximum.reduce(np.abs(p2, out=p2), axis=None,
+                                   initial=p2_dev)
     return {**geo, "samples": samples, "seed": seed,
             "max_theorem_deviation": theorem_dev,
             "max_pure_norm_deviation": float(norm_dev),
             "max_pure_sum_p2_deviation": float(p2_dev), "tolerance": tol,
-            # np.max, unlike max(), turns a NaN deviation into a failure
-            "passed": bool(np.max([theorem_dev, norm_dev, p2_dev]) < tol)}
+            # np.maximum, unlike max(), turns a NaN deviation into a failure
+            "passed": bool(np.maximum.reduce(
+                (theorem_dev, norm_dev, p2_dev)) < tol)}
 
 
 def geometry_report(d: int) -> dict:
@@ -208,7 +212,7 @@ def _radii(d: int) -> dict:
     n = d * d - 1
     r_out = facet_distance(n, 0)
     r_in = facet_distance(n, n - 1)
-    r_pure = float(np.sqrt((d - 1.0) / (d + 1.0)))
+    r_pure = math.sqrt((d - 1.0) / (d + 1.0))
     m_pure = (d + 2) * (d - 1) // 2
     # internal consistency before handing out numbers, as raises that
     # python -O keeps, each written so that NaN fails it
@@ -257,7 +261,7 @@ def find_nonstate_sphere_point(ctx: QuantumSimplexContext,
     rng = np.random.default_rng(seed)
     d = ctx.d
     m_pure = (d + 2) * (d - 1) // 2
-    r_pure = np.sqrt((d - 1.0) / (d + 1.0))
+    r_pure = math.sqrt((d - 1.0) / (d + 1.0))
     for attempt in range(WITNESS_TRIES):
         if attempt == 0:
             idx = np.arange(m_pure + 1)
@@ -277,7 +281,8 @@ def find_nonstate_sphere_point(ctx: QuantumSimplexContext,
 
 def trace_distance(rho_a: np.ndarray, rho_b: np.ndarray) -> float:
     """Half the sum of absolute eigenvalues of the Hermitian difference."""
-    return float(0.5 * np.sum(np.abs(np.linalg.eigvalsh(rho_a - rho_b))))
+    eigs = np.linalg.eigvalsh(rho_a - rho_b)
+    return float(0.5 * np.add.reduce(np.abs(eigs, out=eigs)))
 
 
 def project_to_state(rho: np.ndarray) -> np.ndarray:
@@ -324,7 +329,7 @@ def simulate_tomography(rho: np.ndarray, ctx: QuantumSimplexContext,
     p = state_to_probabilities(rho, ctx)
     # roundoff can leave tiny negatives; the sampler needs an exact simplex
     p = np.clip(p, 0.0, None)
-    p /= p.sum()
+    p /= np.add.reduce(p)
     counts = rng.multinomial(shots, p)
     p_hat = counts / shots
     s_hat = probabilities_to_point(p_hat, ctx)

@@ -481,6 +481,19 @@ def test_purity_gate_sits_at_1e_9(excess, pure):
     assert is_pure(r, SCS[2]) is pure
 
 
+@pytest.mark.parametrize("d", [3, 4])
+def test_sphere_point_off_the_star_product_law_is_not_pure(d):
+    # rho = diag(0.6 + sqrt(0.12), 0.6 - sqrt(0.12), -0.2), padded with
+    # zeros, is Hermitian with unit trace and Tr rho**2 = 1, so r lies on the
+    # pure sphere to roundoff; only the star-product gate refuses it, with a
+    # defect of 0.33 at d = 3 and 0.35 at d = 4
+    a = np.sqrt(0.12)
+    rho = np.diag([0.6 + a, 0.6 - a, -0.2] + [0.0] * (d - 3))
+    r = to_bloch(rho, BASES[d])
+    assert abs(r @ r - (d - 1.0) / (d + 1.0)) < 1e-15
+    assert not is_pure(r, SCS[d])
+
+
 @pytest.mark.parametrize("h, ok", [(0.2e-12, True), (0.49e-12, False)])
 def test_imaginary_trace_gate_is_its_own_check(h, ok):
     # Im rho_jj = (h, h, -h) passes the Hermitian gate (2h <= 1e-12) and the

@@ -413,6 +413,21 @@ def test_fiducial_of_another_dimension_names_the_file(command, tmp_path,
     assert "d=2" in err and "d=3" in err
 
 
+@pytest.mark.parametrize("command", ["verify", "convert", "tomography"])
+def test_non_sic_fiducial_names_the_file(command, tmp_path, capsys):
+    # a unit vector whose orbit is not a SIC: read_json accepts it, and
+    # build_sic refuses it inside the context build
+    fid = tmp_path / "fid.json"
+    fid.write_text('{"d": 2, "psi": [[1, 0], [0, 0]]}')
+    state = _write_state(tmp_path / "state.json", 2, "bloch", [0.0] * 3)
+    argv = {"verify": ["verify", "--d", "2", "--samples", "5"],
+            "convert": ["convert", "--to", "point", "--in", str(state)],
+            "tomography": ["tomography", "--in", str(state)]}
+    assert main(argv[command] + ["--fiducial", str(fid)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {fid}: fiducial residual 6.667e-01 exceeds 1.0e-06\n")
+
+
 def _assert_only_the_bad_file_is_named(bad, text, tmp_path, capsys):
     state = _write_state(tmp_path / "state.json", 2, "bloch", [0.0] * 3)
     fid = tmp_path / "fid.json"

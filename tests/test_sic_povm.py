@@ -705,6 +705,14 @@ def test_d3_restarts_reach_the_floor_within_twelve_steps(seed, caplog):
         assert int(record["iterations"]) <= 12
 
 
+@pytest.mark.parametrize("d", [3, 4])
+def test_searches_end_at_the_roundoff_floor(d):
+    # a literal: seeds 0..9 end at 8.4e-15 at worst, and a floor of 1e-11
+    # would leave d = 3 at 4.6e-12
+    assert max(find_fiducial(d, seed=seed).residual
+               for seed in range(10)) <= 1e-13
+
+
 def test_stalled_restart_ends_early_and_the_search_goes_on(caplog):
     # the first start of seed 10 at d = 6 sits on a plateau at phi = 4.589e-2
     # and would spend all MAX_POLISH_STEPS steps there

@@ -471,6 +471,20 @@ def test_non_finite_points_are_refused(d, data, bad, contexts):
         classify_point(s, ctx)
 
 
+def test_witness_negativity_bound_sits_at_1e_6(contexts, monkeypatch):
+    # a literal: the first candidate's -5e-7 is too shallow for a witness,
+    # the second one's -2e-6 is deep enough
+    seen = []
+
+    def is_state(s, basis):
+        seen.append(s.copy())
+        return False, -5e-7 if len(seen) == 1 else -2e-6
+    monkeypatch.setattr(bloch, "is_state", is_state)
+    s = find_nonstate_sphere_point(contexts[3], seed=1)
+    assert len(seen) == 2
+    assert np.array_equal(s, seen[1])
+
+
 def test_no_nonstate_sphere_point_for_qubits(contexts):
     with pytest.raises(RuntimeError):
         find_nonstate_sphere_point(contexts[2], seed=1)
